@@ -154,26 +154,13 @@ grep -o '"[a-z_]*":' target/cilkview/fig3_real_run.json | sort -u \
     || { echo "fig3_real_run.json schema drifted from scripts/fig3_schema.txt"; exit 1; }
 echo "target/cilkview/fig3_real_run.json schema OK"
 
-echo "== scheduler service bench: BENCH_sched.json =="
-# Closed-loop two-tenant traffic at 2/4/8 workers; p50/p99
-# admission-to-completion latency from the log₂ latency histogram. The
-# JSON lands in target/sched/ and is archived under artifacts/.
-cargo run -q --release --offline -p cilk-bench --bin sched_service
-mkdir -p artifacts
-cp target/sched/BENCH_sched.json artifacts/BENCH_sched.json
-echo "archived artifacts/BENCH_sched.json"
-
-echo "== spawn-cost gate: BENCH_spawn.json =="
-# Fence-elided vs classic deque protocol: OwnerStats counter-proofs (the
-# elided join cycle must never fence), per-join runtime cost soft-gated
-# against the committed baseline, fib speedup sweep at 1/2/4/8 workers.
-# Hard assertions live in the binary; wall-clock drift only warns.
-SPAWN_BASELINE=scripts/spawn_baseline.txt \
-    cargo run -q --release --offline -p cilk-bench --bin spawn_cost
+echo "== perf: benchmark smoke + unit tests (perf/README.md) =="
+# The repo's one benchmark on small inputs: every workload, correctness
+# check and schema check on, timing bounds off. table_overhead is the
+# paper-E5 (spawn overhead on one worker) smoke.
+cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick
+cargo test --release --offline --manifest-path perf/Cargo.toml
 cargo run -q --release --offline -p cilk-bench --bin table_overhead
-mkdir -p artifacts
-cp target/spawn/BENCH_spawn.json artifacts/BENCH_spawn.json
-echo "archived artifacts/BENCH_spawn.json"
 
 echo "== bench harness compiles =="
 cargo build --offline --benches --workspace

@@ -1,5 +1,5 @@
-//! S1 ablation: our Chase–Lev deque vs `crossbeam-deque` (the established
-//! Rust implementation), plus the growth-policy cost (DESIGN.md §choice 4).
+//! S1: owner push/pop and steal-drain cost of our Chase–Lev deque, plus the
+//! growth-policy cost (DESIGN.md §choice 4).
 
 use cilk_testkit::bench::Bench;
 use cilk_testkit::{bench_group, bench_main};
@@ -28,27 +28,6 @@ fn bench_deque(c: &mut Bench) {
         });
     });
 
-    // The crossbeam-deque comparison requires a vendored copy of the crate
-    // (the workspace is hermetic: no registry dependencies). Build with
-    // `--features crossbeam-compare` once `crossbeam_deque` is vendored as a
-    // path dependency; without the feature the comparison is skipped with a
-    // message so the S1 ablation table notes the gap instead of silently
-    // shrinking.
-    #[cfg(feature = "crossbeam-compare")]
-    group.bench_function("crossbeam_push_pop_10k", |b| {
-        let w = crossbeam_deque::Worker::<usize>::new_lifo();
-        b.iter(|| {
-            for i in 0..N {
-                w.push(i);
-            }
-            let mut acc = 0usize;
-            while let Some(v) = w.pop() {
-                acc = acc.wrapping_add(v);
-            }
-            acc
-        });
-    });
-
     group.bench_function("cilk_steal_drain_10k", |b| {
         let (w, s) = cilk_deque::Worker::<usize>::new();
         b.iter(|| {
@@ -62,32 +41,6 @@ fn bench_deque(c: &mut Bench) {
             acc
         });
     });
-
-    #[cfg(feature = "crossbeam-compare")]
-    group.bench_function("crossbeam_steal_drain_10k", |b| {
-        let w = crossbeam_deque::Worker::<usize>::new_lifo();
-        let s = w.stealer();
-        b.iter(|| {
-            for i in 0..N {
-                w.push(i);
-            }
-            let mut acc = 0usize;
-            loop {
-                match s.steal() {
-                    crossbeam_deque::Steal::Success(v) => acc = acc.wrapping_add(v),
-                    crossbeam_deque::Steal::Empty => break,
-                    crossbeam_deque::Steal::Retry => {}
-                }
-            }
-            acc
-        });
-    });
-
-    #[cfg(not(feature = "crossbeam-compare"))]
-    eprintln!(
-        "deque: skipping crossbeam_push_pop_10k / crossbeam_steal_drain_10k \
-         (vendor crossbeam-deque and build with --features crossbeam-compare)"
-    );
 
     // Growth-policy cost: push N without pre-sizing (graceful doubling) —
     // the deque starts at 32 slots, so this path doubles ~9 times.

@@ -8,8 +8,8 @@
 //! Note: with serialized closures the Rust compiler sometimes optimizes
 //! the elision *better* than C would (inlining through the recursion), so
 //! the measured ratio is an upper bound on the protocol cost per spawn;
-//! the spawn-cost bench (`benches/spawn_cost.rs`) measures the
-//! per-spawn cost directly.
+//! the `perf` layer walk (`join.cycle_ns`) measures the per-spawn cost
+//! directly.
 
 use cilk::{Config, ThreadPool};
 use cilk_workloads::{fib, matmul, qsort};

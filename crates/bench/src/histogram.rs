@@ -96,63 +96,6 @@ impl Histogram {
     }
 }
 
-/// A log₂-bucketed histogram over durations, for latency distributions
-/// that span several orders of magnitude (bucket `i` holds samples in
-/// `[2^i, 2^(i+1))` microseconds; percentiles report the bucket's upper
-/// bound, a conservative estimate).
-#[derive(Debug)]
-pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-}
-
-impl LatencyHistogram {
-    /// Creates an empty latency histogram.
-    pub fn new() -> LatencyHistogram {
-        LatencyHistogram { buckets: std::array::from_fn(|_| AtomicU64::new(0)) }
-    }
-
-    /// Records one latency sample.
-    pub fn record(&self, latency: std::time::Duration) {
-        let micros = latency.as_micros().min(u64::MAX as u128) as u64;
-        let bucket = (64 - micros.leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// The smallest bucket upper bound `v` such that at least `p` (in
-    /// `0.0..=1.0`) of all samples are ≤ `v`. Zero for an empty histogram.
-    pub fn percentile(&self, p: f64) -> std::time::Duration {
-        let total = self.count();
-        if total == 0 {
-            return std::time::Duration::ZERO;
-        }
-        let threshold = (p.clamp(0.0, 1.0) * total as f64).ceil() as u64;
-        let mut cumulative = 0u64;
-        for (bucket, count) in self.buckets.iter().enumerate() {
-            cumulative += count.load(Ordering::Relaxed);
-            if cumulative >= threshold {
-                return Self::upper_bound(bucket);
-            }
-        }
-        Self::upper_bound(BUCKETS - 1)
-    }
-
-    /// Upper bound of bucket `i` in microseconds, as a duration.
-    fn upper_bound(bucket: usize) -> std::time::Duration {
-        std::time::Duration::from_micros(1u64 << bucket.min(62))
-    }
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> LatencyHistogram {
-        LatencyHistogram::new()
-    }
-}
-
 /// The probe consumer: scheduler-event histograms for one pool.
 #[derive(Debug)]
 pub struct SchedHistograms {
@@ -261,23 +204,6 @@ mod tests {
         assert_eq!(h.to_vec()[2], 4);
         assert_eq!(Histogram::new().percentile(0.9), 0, "empty histogram");
         assert_eq!(Histogram::new().summary(), "-");
-    }
-
-    #[test]
-    fn latency_histogram_reports_conservative_percentiles() {
-        use std::time::Duration;
-        let h = LatencyHistogram::new();
-        assert_eq!(h.percentile(0.99), Duration::ZERO, "empty histogram");
-        for micros in [3u64, 3, 3, 3, 3, 3, 3, 3, 3, 900] {
-            h.record(Duration::from_micros(micros));
-        }
-        assert_eq!(h.count(), 10);
-        // 3µs lands in [2, 4): the reported bound is the bucket's upper
-        // edge, never below the true value.
-        assert_eq!(h.percentile(0.5), Duration::from_micros(4));
-        // The 900µs outlier lands in [512, 1024).
-        assert_eq!(h.percentile(1.0), Duration::from_micros(1024));
-        assert!(h.percentile(0.5) >= Duration::from_micros(3), "conservative");
     }
 
     #[test]

@@ -95,7 +95,7 @@ pub mod deque {
 }
 
 pub use cilk_hyper::{join, scope, Scope};
-pub use cilk_runtime::{BuildPoolError, Config, Grain, MetricsSnapshot, SpawnPolicy, ThreadPool, WaitPolicy};
+pub use cilk_runtime::{BuildPoolError, Config, Grain, MetricsSnapshot, ThreadPool};
 
 /// Three-way fork-join: all three closures may run in parallel
 /// (reducer-aware, like [`join`]). Serial order is `a`, `b`, `c`.

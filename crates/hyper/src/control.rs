@@ -40,63 +40,27 @@ where
     RA: Send,
     RB: Send,
 {
-    match cilk_runtime::current_spawn_policy() {
-        cilk_runtime::SpawnPolicy::WorkFirst => {
-            // Work-first: the child `a` runs on the caller's strand over the
-            // base views; only a *stolen* continuation needs a fresh frame.
-            let (ra, (rb, stolen_views)) = cilk_runtime::join_context(
-                |_| a(),
-                |ctx| {
-                    if ctx.migrated() {
-                        // Stolen: execute with fresh views, hand them back
-                        // for the ordered merge at the join point.
-                        let guard = FrameGuard::push();
-                        let r = b();
-                        let frame = guard.take();
-                        (r, Some(frame))
-                    } else {
-                        (b(), None)
-                    }
-                },
-            );
-            if let Some(frame) = stolen_views {
-                frames::merge_frame_into_current(frame);
+    // The child `a` runs on the caller's strand over the base views; only
+    // a *stolen* continuation needs a fresh frame.
+    let (ra, (rb, stolen_views)) = cilk_runtime::join_context(
+        |_| a(),
+        |ctx| {
+            if ctx.migrated() {
+                // Stolen: execute with fresh views, hand them back for the
+                // ordered merge at the join point.
+                let guard = FrameGuard::push();
+                let r = b();
+                let frame = guard.take();
+                (r, Some(frame))
+            } else {
+                (b(), None)
             }
-            (ra, rb)
-        }
-        cilk_runtime::SpawnPolicy::HelpFirst => {
-            // Help-first: the *continuation* `b` runs on the caller's strand
-            // and the child `a` is enqueued, so `b` executes before (or
-            // concurrently with) `a` — the reverse of serial order. `b`
-            // therefore always needs its own frame so its updates can be
-            // appended after `a`'s; `a` needs one only when stolen (when it
-            // stays local it is popped back and runs over the base views).
-            let ((ra, frame_a), (rb, frame_b)) = cilk_runtime::join_context(
-                |ctx| {
-                    if ctx.migrated() {
-                        let guard = FrameGuard::push();
-                        let r = a();
-                        let frame = guard.take();
-                        (r, Some(frame))
-                    } else {
-                        (a(), None)
-                    }
-                },
-                |_| {
-                    let guard = FrameGuard::push();
-                    let r = b();
-                    let frame = guard.take();
-                    (r, frame)
-                },
-            );
-            // Serial order: base ⊕ a ⊕ b.
-            if let Some(frame) = frame_a {
-                frames::merge_frame_into_current(frame);
-            }
-            frames::merge_frame_into_current(frame_b);
-            (ra, rb)
-        }
+        },
+    );
+    if let Some(frame) = stolen_views {
+        frames::merge_frame_into_current(frame);
     }
+    (ra, rb)
 }
 
 /// A reducer-aware scope; created by [`scope`].

@@ -169,7 +169,7 @@ pub(crate) fn merge_frame_into_current(frame: Frame) {
                 for (id, slot) in frame.slots {
                     // Ordered merges touch both views: bracket them for the
                     // race detector like any other view access (§5).
-                    let _view = crate::hooks::view_access(id);
+                    let _view = cilk_runtime::probe::view_access(id);
                     match top.slots.entry(id) {
                         std::collections::hash_map::Entry::Occupied(mut cur) => {
                             let ops = Arc::clone(&cur.get().ops);
@@ -188,7 +188,7 @@ pub(crate) fn merge_frame_into_current(frame: Frame) {
     });
     if let Some(frame) = leftovers {
         for (id, slot) in frame.slots {
-            let _view = crate::hooks::view_access(id);
+            let _view = cilk_runtime::probe::view_access(id);
             slot.ops.merge_into_root(slot.value.into_inner());
         }
     }

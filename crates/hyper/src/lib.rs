@@ -43,7 +43,6 @@
 
 mod control;
 mod frames;
-pub mod hooks;
 mod monoid;
 mod reducer;
 

@@ -108,9 +108,9 @@ impl<M: Monoid> Reducer<M> {
     /// strands running in root context (no steal above them) serialize on
     /// the leftmost view's lock.
     pub fn with<R>(&self, f: impl FnOnce(&mut M::Value) -> R) -> R {
-        // Bracket the whole access for the race detector (§5 suppression);
-        // see `crate::hooks`. No-op unless this thread is monitored.
-        let _view = crate::hooks::view_access(self.id);
+        // Bracket the whole access for the race detector (§5 suppression).
+        // No-op unless this thread is monitored.
+        let _view = cilk_runtime::probe::view_access(self.id);
         let ops: Arc<dyn SlotOps> = self.core.clone();
         let id = self.id;
         let mut f = Some(f);

@@ -12,34 +12,6 @@ use crate::fault::FaultHandler;
 use crate::metrics::MetricsSnapshot;
 use crate::supervisor::{BeatSite, SupervisionPolicy};
 
-/// What a worker does while waiting at a `join` for a stolen continuation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WaitPolicy {
-    /// Steal other work while waiting (the Cilk protocol; default).
-    #[default]
-    StealBack,
-    /// Spin/yield without stealing (naive baseline, for the ablation bench).
-    SpinOnly,
-}
-
-/// Which side of a spawn the calling worker executes first.
-///
-/// The paper's Cilk++ semantics are *work-first*: the worker dives into the
-/// spawned child and exposes the continuation for theft, so on one worker
-/// the execution order is exactly the serial elision. *Help-first* inverts
-/// this — the child is enqueued as stealable work and the worker continues
-/// past the spawn — which generates parallel slack faster for shallow,
-/// wide spawn trees at the cost of departing from serial order when no
-/// thief shows up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpawnPolicy {
-    /// Run the child now, expose the continuation (Cilk++ §3; default).
-    #[default]
-    WorkFirst,
-    /// Enqueue the child, run the continuation now (help-first scheduling).
-    HelpFirst,
-}
-
 /// Builder for a [`crate::ThreadPool`].
 ///
 /// # Examples
@@ -54,9 +26,6 @@ pub enum SpawnPolicy {
 #[derive(Clone)]
 pub struct Config {
     pub(crate) num_workers: Option<usize>,
-    pub(crate) wait_policy: WaitPolicy,
-    pub(crate) spawn_policy: SpawnPolicy,
-    pub(crate) classic_deque: bool,
     pub(crate) rng_seed: Option<u64>,
     pub(crate) thread_name_prefix: String,
     pub(crate) stack_size: usize,
@@ -70,9 +39,6 @@ impl fmt::Debug for Config {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Config")
             .field("num_workers", &self.num_workers)
-            .field("wait_policy", &self.wait_policy)
-            .field("spawn_policy", &self.spawn_policy)
-            .field("classic_deque", &self.classic_deque)
             .field("rng_seed", &self.rng_seed)
             .field("thread_name_prefix", &self.thread_name_prefix)
             .field("stack_size", &self.stack_size)
@@ -95,9 +61,6 @@ impl PartialEq for Config {
         };
         handlers_eq
             && self.num_workers == other.num_workers
-            && self.wait_policy == other.wait_policy
-            && self.spawn_policy == other.spawn_policy
-            && self.classic_deque == other.classic_deque
             && self.rng_seed == other.rng_seed
             && self.thread_name_prefix == other.thread_name_prefix
             && self.stack_size == other.stack_size
@@ -111,13 +74,10 @@ impl Eq for Config {}
 
 impl Config {
     /// Creates the default configuration: one worker per available
-    /// processor, steal-back waiting.
+    /// processor.
     pub fn new() -> Self {
         Config {
             num_workers: None,
-            wait_policy: WaitPolicy::default(),
-            spawn_policy: SpawnPolicy::default(),
-            classic_deque: false,
             rng_seed: None,
             thread_name_prefix: "cilk-worker".to_owned(),
             // Fork-join recursion lives on the worker stack (Cilk++ used a
@@ -138,37 +98,6 @@ impl Config {
     pub fn num_workers(mut self, n: usize) -> Self {
         assert!(n > 0, "a pool needs at least one worker");
         self.num_workers = Some(n);
-        self
-    }
-
-    /// Sets the wait policy used inside `join`.
-    pub fn wait_policy(mut self, policy: WaitPolicy) -> Self {
-        self.wait_policy = policy;
-        self
-    }
-
-    /// Sets which side of a spawn the worker executes first (default:
-    /// [`SpawnPolicy::WorkFirst`], the paper's semantics). Both policies
-    /// produce identical results, reducer views, and race reports — only
-    /// the schedule differs; degraded serial execution always runs in
-    /// serial-elision order regardless of this knob.
-    pub fn spawn_policy(mut self, policy: SpawnPolicy) -> Self {
-        self.spawn_policy = policy;
-        self
-    }
-
-    /// Forces every worker deque onto the textbook Chase–Lev protocol
-    /// (`bottom` published on each push, `SeqCst` fence on each pop)
-    /// instead of the fence-elided owner fast path the runtime uses by
-    /// default. The fallback knob for the spawn-overhead ablation bench
-    /// and for bisecting any suspected protocol issue in the field.
-    ///
-    /// Pools built with [`WaitPolicy::SpinOnly`] use the classic protocol
-    /// regardless of this setting: a spin-only waiter never drains its own
-    /// deque while blocked, so privately retained elements would be
-    /// invisible to thieves *and* unreachable by the owner — a deadlock.
-    pub fn classic_deque(mut self) -> Self {
-        self.classic_deque = true;
         self
     }
 

@@ -34,7 +34,10 @@
 //! observes the mark, frees the boxed closure without running it, and
 //! returns. A worker that claimed the job first makes [`Injector::cancel`]
 //! fail, and `cancel` reports `false` (cancel-after-start is refused; the
-//! result still arrives through the handle).
+//! result still arrives through the handle). The shard is searched by the
+//! job's address, so the search only happens while the handle's state is
+//! still `Queued` — execution leaves that state before it frees the job,
+//! and a freed address may already belong to a later submission.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -124,18 +127,24 @@ where
     R: Send,
 {
     unsafe fn execute(this: *const ()) {
-        let job = Box::from_raw(this as *mut AsyncJob<F, R>);
-        let AsyncJob { registry, tenant, shared, func } = *job;
+        let this = this as *mut AsyncJob<F, R>;
         {
+            // Leave `Queued` while the box is still allocated: the handle
+            // finds the job in the injection queue by this address, which
+            // the allocator may hand to the next submission once freed.
+            let shared = &(*this).shared;
             let mut state = poison::recover(shared.state.lock());
             if matches!(*state, HandleState::Cancelled) {
                 // `cancel` owns this execution (it removed the job from
                 // the queue first) and has already done the accounting;
                 // dropping `func` un-run is all that is left.
+                drop(state);
+                drop(Box::from_raw(this));
                 return;
             }
             *state = HandleState::Running;
         }
+        let AsyncJob { registry, tenant, shared, func } = *Box::from_raw(this);
         let wt = WorkerThread::current();
         let result = if wt.is_null() {
             // Degraded rescue: the pool died with the job still queued and
@@ -280,22 +289,40 @@ impl<R: Send + 'static> JobHandle<R> {
     /// worker already claimed the job — cancel-after-start is refused, the
     /// job runs to completion and releases its own quota exactly once.
     pub fn cancel(&self) -> bool {
-        if !self.registry.injector.cancel(self.job) {
+        if !self.take_from_queue(|state| {
+            // Count the cancellation before publishing the terminal state
+            // — a waiter released by the condvar must observe books that
+            // already balance — and publish `Cancelled` before executing
+            // so that execution observes the mark and drops the closure
+            // un-run.
+            self.registry.injector.note_cancelled(self.tenant);
+            self.registry.probe(ProbeEvent::JobCancelled { tenant: self.tenant.0 });
+            *state = HandleState::Cancelled;
+        }) {
             return false;
         }
-        // Removal succeeded: no worker will ever claim this job, so this
-        // thread owns its single execution. Count the cancellation before
-        // publishing the terminal state — a waiter released by the condvar
-        // must observe books that already balance — and publish `Cancelled`
-        // before executing so that execution observes the mark and drops
-        // the closure un-run.
-        self.registry.injector.note_cancelled(self.tenant);
-        self.registry.probe(ProbeEvent::JobCancelled { tenant: self.tenant.0 });
-        self.shared.finish(HandleState::Cancelled);
+        self.shared.finished.store(true, Ordering::Release);
+        self.shared.cvar.notify_all();
         // SAFETY: exclusive execution right established above; executes
         // the job exactly once (as a drop).
         unsafe { self.job.execute() };
         true
+    }
+
+    /// Removes the job from its injection shard if no worker has claimed
+    /// it; `true` grants the caller the job's single execution, after
+    /// `on_removed` has run under the state lock. The queue is searched by
+    /// the job's address, which only identifies this job while its box is
+    /// allocated — guaranteed while the state is `Queued`, since execution
+    /// leaves that state (under this lock) before freeing the box.
+    fn take_from_queue(&self, on_removed: impl FnOnce(&mut HandleState<R>)) -> bool {
+        let mut state = poison::recover(self.shared.state.lock());
+        let removed = matches!(*state, HandleState::Queued)
+            && self.registry.injector.cancel(self.job);
+        if removed {
+            on_removed(&mut state);
+        }
+        removed
     }
 
     /// A fully dead pool (zero live workers, no recovery possible) can
@@ -303,7 +330,7 @@ impl<R: Send + 'static> JobHandle<R> {
     /// this thread instead — completed, not cancelled, exactly like the
     /// synchronous path's degraded rescue.
     fn rescue_if_degraded(&self) {
-        if self.registry.degraded_serial() && self.registry.injector.cancel(self.job) {
+        if self.registry.degraded_serial() && self.take_from_queue(|_| {}) {
             // SAFETY: queue removal grants the exclusive execution right;
             // the job body does its own completion accounting.
             unsafe { self.job.execute() };

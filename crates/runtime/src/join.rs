@@ -15,7 +15,6 @@
 //! paper credits for the runtime's "negligible overhead (less than 2%)" on
 //! one processor.
 
-use crate::config::SpawnPolicy;
 use crate::fault::{self, FaultSite};
 use crate::job::{JobRef, StackJob};
 use crate::latch::{CoreLatch, Probe};
@@ -42,12 +41,8 @@ impl JoinContext {
 
 /// Runs `a` and `b`, potentially in parallel, returning both results.
 ///
-/// Semantically equivalent to `(a(), b())` — the *serial elision*. Under
-/// the default [`crate::SpawnPolicy::WorkFirst`] `a` executes on the
-/// calling worker and `b` may be stolen by an idle worker; under
-/// [`crate::SpawnPolicy::HelpFirst`] the roles swap (`b` runs on the
-/// caller, `a` is up for theft). Results, reducer views, and race reports
-/// are identical either way.
+/// Semantically equivalent to `(a(), b())` — the *serial elision*. `a`
+/// executes on the calling worker and `b` may be stolen by an idle worker.
 ///
 /// # Panics
 ///
@@ -83,7 +78,7 @@ where
     // profile; see [`crate::probe`]) the join runs as its serial elision
     // on the current thread, bracketed by the pedigree-stamped structure
     // events SP-bags needs: spawn a; return; b; sync.
-    if let Some(capture) = crate::hooks::serial_capture() {
+    if let Some(capture) = probe::serial_capture() {
         return join_serial_capture(capture, a, b);
     }
     // An SP-order labeling session (parallel race detection; see
@@ -188,12 +183,10 @@ fn run_captured_branch<R>(
     }
 }
 
-/// The worker-side implementation of `join_context`.
-///
-/// Dispatches on the pool's [`SpawnPolicy`]: work-first runs the child `a`
-/// now and exposes the continuation `b` for theft (the paper's discipline);
-/// help-first exposes the child `a` and runs `b` now. Either way both sides
-/// come to rest before the implicit sync, and `a`'s panic wins.
+/// The worker-side implementation of `join_context`: push the continuation
+/// `b`, run the child `a`, pop `b` back or wait for its thief, then the
+/// implicit sync. Both sides come to rest before the sync, and `a`'s panic
+/// wins.
 ///
 /// # Safety
 ///
@@ -211,111 +204,56 @@ where
     let depth = wt.bump_depth();
     registry.probe(ProbeEvent::Spawn { worker: wt.index(), depth });
 
-    match wt.spawn_policy() {
-        SpawnPolicy::WorkFirst => {
-            let job_b = StackJob::new(
-                wt.index(),
-                |migrated| b(JoinContext { migrated }),
-                CoreLatch::new(),
-            );
-            let job_b_ref = job_b.as_job_ref();
-            wt.push(job_b_ref);
+    let job_b = StackJob::new(
+        wt.index(),
+        |migrated| b(JoinContext { migrated }),
+        CoreLatch::new(),
+    );
+    let job_b_ref = job_b.as_job_ref();
+    wt.push(job_b_ref);
 
-            // Execute `a` on this worker (work-first). The `spawn` fault
-            // point sits inside the capture frame, so an injected panic is
-            // indistinguishable from the spawned child itself panicking on
-            // entry.
-            let status_a = unwind::halt_unwinding(|| {
-                fault::fault_point(FaultSite::Spawn);
-                a(JoinContext { migrated: false })
-            });
-            if status_a.is_err() {
-                crate::registry::note_panic_captured();
-            }
+    // Execute `a` on this worker (work-first). The `spawn` fault point sits
+    // inside the capture frame, so an injected panic is indistinguishable
+    // from the spawned child itself panicking on entry.
+    let status_a = unwind::halt_unwinding(|| {
+        fault::fault_point(FaultSite::Spawn);
+        a(JoinContext { migrated: false })
+    });
+    if status_a.is_err() {
+        crate::registry::note_panic_captured();
+    }
 
-            let result_a = match status_a {
-                Ok(result_a) => result_a,
-                Err(panic_a) => {
-                    // `a` panicked: still bring `b` to rest (its frame may
-                    // be live on a thief), but capture its outcome — `a`'s
-                    // panic wins, whatever happened to `b`.
-                    let _ = unwind::halt_unwinding(|| {
-                        match resolve_spawned(wt, &job_b, job_b_ref) {
-                            Resolved::PoppedBack => drop(job_b.run_inline(wt.index())),
-                            Resolved::LatchSet => drop(job_b.into_result()),
-                        }
-                    });
-                    wt.drop_depth();
-                    unwind::resume_unwinding(panic_a)
-                }
-            };
+    // Bring `b` to rest whatever `a` did (its frame may be live on a
+    // thief). `job_b` must not move before it is resolved — the pushed
+    // `JobRef` points at this stack slot — so only the consuming step runs
+    // under capture, which is what lets every outcome of either side leave
+    // through the one `drop_depth` below.
+    let resolved = resolve_spawned(wt, &job_b, job_b_ref);
+    let status_b = unwind::halt_unwinding(move || match resolved {
+        Resolved::PoppedBack => job_b.run_inline(wt.index()),
+        Resolved::LatchSet => job_b.into_result(),
+    });
+    if status_b.is_err() {
+        crate::registry::note_panic_captured();
+    }
 
-            let result_b = match resolve_spawned(wt, &job_b, job_b_ref) {
-                Resolved::PoppedBack => job_b.run_inline(wt.index()),
-                Resolved::LatchSet => job_b.into_result(),
-            };
+    wt.drop_depth();
 
-            wt.drop_depth();
+    let (result_a, result_b) = match (status_a, status_b) {
+        (Ok(result_a), Ok(result_b)) => (result_a, result_b),
+        (Err(panic_a), _) => unwind::resume_unwinding(panic_a),
+        (Ok(_), Err(panic_b)) => unwind::resume_unwinding(panic_b),
+    };
 
-            // The implicit `cilk_sync`: an injected fault here surfaces
-            // after both branches have come to rest, exactly like a panic
-            // at the sync point.
-            let status_sync = unwind::halt_unwinding(|| fault::fault_point(FaultSite::Sync));
+    // The implicit `cilk_sync`: an injected fault here surfaces after both
+    // branches have come to rest, exactly like a panic at the sync point.
+    let status_sync = unwind::halt_unwinding(|| fault::fault_point(FaultSite::Sync));
 
-            match status_sync {
-                Ok(()) => (result_a, result_b),
-                Err(panic_sync) => {
-                    drop((result_a, result_b));
-                    unwind::resume_unwinding(panic_sync)
-                }
-            }
-        }
-        SpawnPolicy::HelpFirst => {
-            // Mirror image: the child becomes the stealable job and the
-            // continuation runs now. `a` may therefore migrate and `b`
-            // never does — reducers and race detection only depend on the
-            // migrated flags being truthful, not on which side moves.
-            let job_a = StackJob::new(
-                wt.index(),
-                |migrated| a(JoinContext { migrated }),
-                CoreLatch::new(),
-            );
-            let job_a_ref = job_a.as_job_ref();
-            wt.push(job_a_ref);
-
-            let status_b = unwind::halt_unwinding(|| {
-                fault::fault_point(FaultSite::Spawn);
-                b(JoinContext { migrated: false })
-            });
-            if status_b.is_err() {
-                crate::registry::note_panic_captured();
-            }
-
-            // Resolving `a` resumes its panic right here if it had one —
-            // before `b`'s captured panic can propagate — so "`a`'s panic
-            // wins" holds under both policies.
-            let result_a = match resolve_spawned(wt, &job_a, job_a_ref) {
-                Resolved::PoppedBack => job_a.run_inline(wt.index()),
-                Resolved::LatchSet => job_a.into_result(),
-            };
-
-            wt.drop_depth();
-
-            let status_sync = unwind::halt_unwinding(|| fault::fault_point(FaultSite::Sync));
-
-            match status_b {
-                Ok(result_b) => match status_sync {
-                    Ok(()) => (result_a, result_b),
-                    Err(panic_sync) => {
-                        drop((result_a, result_b));
-                        unwind::resume_unwinding(panic_sync)
-                    }
-                },
-                Err(panic_b) => {
-                    drop(result_a);
-                    unwind::resume_unwinding(panic_b)
-                }
-            }
+    match status_sync {
+        Ok(()) => (result_a, result_b),
+        Err(panic_sync) => {
+            drop((result_a, result_b));
+            unwind::resume_unwinding(panic_sync)
         }
     }
 }
@@ -410,44 +348,79 @@ mod tests {
     }
 
     #[test]
+    fn join_a_panic_wins_when_both_panic() {
+        let r = std::panic::catch_unwind(|| join(|| panic!("a dies"), || panic!("b dies")));
+        let payload = r.expect_err("join must panic");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("a dies"));
+    }
+
+    /// One `join` under `pool` with four more nested in its child, so the
+    /// deepest nesting is 5. With `steal`, the continuation is forced onto
+    /// a second worker: the nested pushes move it out of the owner's
+    /// private deque window, and the innermost child holds the owner until
+    /// a thief has started it. Returns the nesting depth each side saw.
+    fn nested_join(
+        pool: &crate::ThreadPool,
+        steal: bool,
+        a_panics: bool,
+        b_panics: bool,
+    ) -> std::thread::Result<(usize, usize)> {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        fn nest(levels: usize, leaf: &(dyn Fn() + Sync)) {
+            if levels == 0 {
+                leaf();
+            } else {
+                join(|| nest(levels - 1, leaf), || ());
+            }
+        }
+        let b_started = AtomicBool::new(!steal);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.install(|| {
+                join(
+                    || {
+                        let depth = crate::current_depth();
+                        nest(4, &|| {
+                            while !b_started.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                        });
+                        assert!(!a_panics, "a dies");
+                        depth
+                    },
+                    || {
+                        b_started.store(true, Ordering::Release);
+                        assert!(!b_panics, "b dies");
+                        crate::current_depth()
+                    },
+                )
+            })
+        }))
+    }
+
+    #[test]
+    fn caught_panics_restore_nesting_depth() {
+        use crate::{Config, ThreadPool};
+
+        for workers in [1usize, 2] {
+            let pool = ThreadPool::with_config(Config::new().num_workers(workers)).expect("pool");
+            let steal = workers == 2;
+            for _ in 0..3 {
+                assert!(nested_join(&pool, steal, true, false).is_err());
+                assert!(nested_join(&pool, steal, false, true).is_err());
+            }
+            // `a` runs one join deep on its worker; so does a `b` popped
+            // back inline, while a stolen `b` runs at its thief's top
+            // level. With two workers that reads the depth of both.
+            let depths = nested_join(&pool, steal, false, false).expect("no panic planted");
+            assert_eq!(depths, (1, if steal { 0 } else { 1 }), "{workers} workers");
+            assert_eq!(pool.metrics().depth_high_watermark, 5, "{workers} workers");
+        }
+    }
+
+    #[test]
     fn join_context_reports_not_migrated_for_a() {
         let (ma, _mb) = join_context(|ctx| ctx.migrated(), |ctx| ctx.migrated());
-        // The global pool runs the default work-first policy, where the
-        // left branch always runs on the calling worker.
         assert!(!ma, "work-first runs the left branch on the calling worker");
-    }
-
-    #[test]
-    fn help_first_pool_matches_work_first_results() {
-        use crate::{Config, SpawnPolicy, ThreadPool};
-
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = join(|| fib(n - 1), || fib(n - 2));
-            a + b
-        }
-        let pool = ThreadPool::with_config(
-            Config::new().num_workers(2).spawn_policy(SpawnPolicy::HelpFirst),
-        )
-        .expect("pool");
-        assert_eq!(pool.install(|| fib(15)), 610);
-    }
-
-    #[test]
-    fn help_first_pool_keeps_a_panic_priority() {
-        use crate::{Config, SpawnPolicy, ThreadPool};
-
-        let pool = ThreadPool::with_config(
-            Config::new().num_workers(1).spawn_policy(SpawnPolicy::HelpFirst),
-        )
-        .expect("pool");
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.install(|| join(|| panic!("a dies"), || panic!("b dies")))
-        }));
-        let payload = r.expect_err("join must panic");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or("");
-        assert_eq!(msg, "a dies", "a's panic wins under help-first too");
     }
 }

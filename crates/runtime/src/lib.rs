@@ -39,7 +39,6 @@ mod admission;
 mod config;
 pub mod fault;
 mod handle;
-pub mod hooks;
 mod job;
 mod join;
 mod latch;
@@ -58,7 +57,7 @@ pub use admission::{
     AdmissionPolicy, AdmissionReport, Overloaded, Priority, RejectReason, SubmitError,
     TenantId, TenantStats,
 };
-pub use config::{BuildPoolError, Config, RuntimeStalled, SpawnPolicy, WaitPolicy};
+pub use config::{BuildPoolError, Config, RuntimeStalled};
 pub use handle::JobHandle;
 pub use join::{join, join_context, JoinContext};
 pub use metrics::MetricsSnapshot;
@@ -459,21 +458,6 @@ pub fn global_metrics() -> MetricsSnapshot {
 /// outside any pool. Useful for per-worker scratch arrays.
 pub fn current_worker_index() -> Option<usize> {
     registry::current_worker_index()
-}
-
-/// The [`SpawnPolicy`] governing `join` on the calling thread: the
-/// enclosing pool's policy for worker threads, [`SpawnPolicy::WorkFirst`]
-/// otherwise (non-pool threads and the global pool both run the default).
-/// Reducer libraries use this to pick the matching view-frame discipline.
-pub fn current_spawn_policy() -> SpawnPolicy {
-    unsafe {
-        let current = registry::WorkerThread::current();
-        if current.is_null() {
-            SpawnPolicy::WorkFirst
-        } else {
-            (*current).spawn_policy()
-        }
-    }
 }
 
 /// The current `join` nesting depth of the calling worker (0 on non-pool

@@ -1,11 +1,9 @@
 //! The unified probe layer: one typed event stream for every
 //! instrumentation seam in the platform.
 //!
-//! Before this layer, the runtime had four mutually unaware seams:
-//! first-install-wins `OnceLock` hook tables for Cilkscreen
-//! ([`crate::hooks`]) and reducer view events (`cilk_hyper::hooks`), the
-//! fault-injection seam ([`crate::fault`]), and hand-maintained metrics
-//! counters. All of them are now **consumers** of this module:
+//! Cilkscreen's structure events, reducer view events, fault-injection
+//! logging ([`crate::fault`]) and the metrics counters are all
+//! **consumers** of this module:
 //!
 //! * every instrumented site builds a [`ProbeEvent`] and hands it to
 //!   [`emit`] (scheduler sites route through the pool's counters first,

@@ -1,12 +1,10 @@
 //! The probe consumer registry: one registration path, many consumers.
 //!
-//! This replaces the first-install-wins `OnceLock` tables that PRs 2–3
-//! accreted (`hooks::install`, `cilk_hyper::hooks::install`). Consumers
-//! register an `Arc<dyn Probe>` and get a [`ProbeHandle`]; dropping the
-//! handle deregisters the consumer and shrinks the global gate mask, so
-//! repeated sessions (a second Cilkscreen run, a second profiled
-//! execution, a second test in the same process) are deterministic:
-//! registration N+1 behaves exactly like registration 1.
+//! Consumers register an `Arc<dyn Probe>` and get a [`ProbeHandle`];
+//! dropping the handle deregisters the consumer and shrinks the global
+//! gate mask, so repeated sessions (a second Cilkscreen run, a second
+//! profiled execution, a second test in the same process) are
+//! deterministic: registration N+1 behaves exactly like registration 1.
 //!
 //! # Overhead contract
 //!

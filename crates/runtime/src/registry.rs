@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use cilk_deque::{Protocol, Steal, Stealer, Worker};
 
 use crate::admission::{Injector, Overloaded, Priority, RejectReason, SubmitError, TenantId};
-use crate::config::{BuildPoolError, Config, RuntimeStalled, SpawnPolicy, WaitPolicy};
+use crate::config::{BuildPoolError, Config, RuntimeStalled};
 use crate::fault::{self, FaultAction, FaultHandler, FaultSite};
 use crate::job::{JobRef, StackJob};
 use crate::latch::{LockLatch, Probe};
@@ -64,9 +64,6 @@ pub(crate) struct Registry {
     sleep: Sleep,
     terminate: AtomicBool,
     pub(crate) counters: Counters,
-    pub(crate) wait_policy: WaitPolicy,
-    /// Which side of a `join` the worker runs first (see [`SpawnPolicy`]).
-    pub(crate) spawn_policy: SpawnPolicy,
     /// Base seed of the pool's victim-selection PRNG streams (per-worker
     /// streams are derived by worker index). Surfaced so randomized test
     /// failures can print the exact value to replay the schedule bias.
@@ -94,16 +91,6 @@ impl Registry {
         config: &Config,
     ) -> Result<(Arc<Registry>, Vec<JoinHandle<()>>), BuildPoolError> {
         let n = config.resolved_workers();
-        // Worker deques run the fence-elided owner fast path unless the
-        // pool opts out ([`Config::classic_deque`]) or waits spin-only: a
-        // `SpinOnly` waiter never drains its own deque while blocked, so
-        // privately retained elements would be invisible to thieves and
-        // unreachable by the owner — classic publication is required there.
-        let protocol = if config.classic_deque || config.wait_policy == WaitPolicy::SpinOnly {
-            Protocol::Classic
-        } else {
-            Protocol::fence_elided()
-        };
         let mut deques = Vec::with_capacity(n);
         let mut infos = Vec::with_capacity(n);
         for _ in 0..n {
@@ -112,7 +99,7 @@ impl Registry {
                 stealer: deque.stealer(),
                 last_thief: AtomicUsize::new(NO_AFFINITY),
             });
-            deques.push(deque.into_worker_with(protocol));
+            deques.push(deque.into_worker_with(Protocol::fence_elided()));
         }
         let registry = Arc::new(Registry {
             thread_infos: infos,
@@ -124,8 +111,6 @@ impl Registry {
             },
             terminate: AtomicBool::new(false),
             counters: Counters::default(),
-            wait_policy: config.wait_policy,
-            spawn_policy: config.spawn_policy,
             rng_seed: config.rng_seed.unwrap_or_else(cilk_testkit::base_seed),
             fault_handler: config.fault_handler.clone(),
             stall_timeout: config.stall_timeout,
@@ -882,19 +867,6 @@ impl WorkerThread {
         self.depth.get()
     }
 
-    /// The spawn policy `join` must follow on this worker. The emergency
-    /// serial worker of a fully degraded pool (sentinel index one past the
-    /// real slots; see [`Registry::run_in_place`]) always runs work-first,
-    /// so degraded serial execution keeps serial-elision order (child
-    /// before continuation) no matter what the pool was configured with.
-    pub(crate) fn spawn_policy(&self) -> SpawnPolicy {
-        if self.index >= self.registry.num_workers() {
-            SpawnPolicy::WorkFirst
-        } else {
-            self.registry.spawn_policy
-        }
-    }
-
     pub(crate) fn bump_depth(&self) -> usize {
         let d = self.depth.get() + 1;
         self.depth.set(d);
@@ -929,7 +901,7 @@ impl WorkerThread {
 
     /// Pushes a stealable job onto the bottom of this worker's deque.
     ///
-    /// Under the fence-elided protocol the job may sit in the owner's
+    /// The job may sit in the owner's
     /// private window until the next batch publication — the right
     /// behaviour for `join` continuations, which the owner usually pops
     /// right back. Work that exists to be *taken* (scope tasks, handoff
@@ -943,8 +915,7 @@ impl WorkerThread {
 
     /// Pushes a stealable job and immediately publishes the owner's
     /// private window, making it (and everything older) visible to
-    /// thieves now instead of at the next batch boundary. A no-op beyond
-    /// [`WorkerThread::push`] under the classic protocol.
+    /// thieves now instead of at the next batch boundary.
     pub(crate) fn push_published(&self, job: JobRef) {
         self.deque.push(job);
         self.deque.publish();
@@ -1130,20 +1101,18 @@ impl WorkerThread {
         job.execute();
     }
 
-    /// Busy-waits for `latch`, executing other work meanwhile (the thief
-    /// protocol) or merely yielding, per the pool's [`WaitPolicy`].
+    /// Waits for `latch` as a thief (§3.2): executes other work until it
+    /// is set. Helping starts with this worker's own deque, so jobs still
+    /// in its private (unpublished) window are never stranded by a wait.
     pub(crate) fn wait_until<L: Probe>(&self, latch: &L) {
-        let steal_back = matches!(self.registry.wait_policy, WaitPolicy::StealBack);
         let mut idle_spins = 0u32;
         while !latch.probe() {
-            if steal_back {
-                if let Some(job) = self.find_work() {
-                    // SAFETY: jobs from deques/injector are executed once.
-                    unsafe { self.execute(job) };
-                    self.beat(supervisor::BeatSite::WaitExecute);
-                    idle_spins = 0;
-                    continue;
-                }
+            if let Some(job) = self.find_work() {
+                // SAFETY: jobs from deques/injector are executed once.
+                unsafe { self.execute(job) };
+                self.beat(supervisor::BeatSite::WaitExecute);
+                idle_spins = 0;
+                continue;
             }
             idle_spins += 1;
             if idle_spins < 16 {

@@ -91,12 +91,10 @@ impl<'scope> Scope<'scope> {
     /// worker, any time before the scope completes.
     ///
     /// Unlike `join`, spawned tasks are fire-and-forget: results are
-    /// communicated through captured state (or reducers). Scope tasks are
-    /// help-first by construction — `spawn` enqueues the task and returns
-    /// immediately, whatever [`crate::SpawnPolicy`] the pool runs `join`
-    /// under — because a fire-and-forget task has no continuation to
-    /// expose; degraded serial pools drain tasks in spawn order either
-    /// way.
+    /// communicated through captured state (or reducers). `spawn` enqueues
+    /// the task and returns immediately: a fire-and-forget task has no
+    /// continuation to expose. Degraded serial pools drain tasks in spawn
+    /// order.
     pub fn spawn<F>(&self, body: F)
     where
         F: FnOnce(TaskContext) + Send + 'scope,
@@ -113,7 +111,7 @@ impl<'scope> Scope<'scope> {
             // would, emitting spawn/return events for the detector. Capture
             // a panicking body so `spawn_end` still fires (an unbalanced
             // spawn would desync the detector's SP-bags state), then resume.
-            let capture = crate::hooks::serial_capture()
+            let capture = probe::serial_capture()
                 .expect("serial-capture scope outside a capture session");
             capture.spawn_begin();
             let frame = task_ctx.map(probe::StrandScope::enter);
@@ -181,8 +179,9 @@ impl<'scope> Scope<'scope> {
         let job_ref = unsafe { job.into_job_ref() };
         let wt = WorkerThread::current();
         if wt.is_null() {
-            // Spawning from outside the pool shouldn't happen (scope runs
-            // in_worker), but handle it by injecting.
+            // The scope body and every task run on pool workers (`scope`
+            // goes through `in_worker`). Handing `&Scope` to a thread the
+            // caller started itself is unsupported: panic, don't inject.
             unreachable!("Scope::spawn outside a worker thread");
         }
         // SAFETY: current() is non-null here and valid for this thread.
@@ -191,10 +190,9 @@ impl<'scope> Scope<'scope> {
         // progress.
         wt.beat(crate::supervisor::BeatSite::ScopeSpawn);
         wt.registry().probe(ProbeEvent::ScopeSpawn { worker: wt.index() });
-        // Published immediately: scope tasks are help-first by
-        // construction — they exist to be picked up by other workers while
-        // this one continues the scope body, so they must not linger in
-        // the fence-elided owner's private window.
+        // Published immediately: scope tasks exist to be picked up by
+        // other workers while this one continues the scope body, so they
+        // must not linger in the owner's private window.
         wt.push_published(job_ref);
     }
 
@@ -257,7 +255,7 @@ where
     // Under a serial-capture session the scope body runs on the current
     // thread with inline task execution; the scope's implicit sync is
     // reported when the body returns.
-    if let Some(capture) = crate::hooks::serial_capture() {
+    if let Some(capture) = probe::serial_capture() {
         return scope_serial_capture(capture, op);
     }
     // Strand profiling of a scope uses the fork-at-start model

@@ -8,9 +8,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use cilk_runtime::{
-    for_each_index, join, map_reduce_index, scope, Config, Grain, ThreadPool, WaitPolicy,
-};
+use cilk_runtime::{for_each_index, join, map_reduce_index, scope, Config, Grain, ThreadPool};
 
 /// Scales a default workload count by the `CILK_STRESS_SCALE` percentage
 /// (default 100), with a floor of 1 so no loop degenerates to zero work.
@@ -93,22 +91,6 @@ fn concurrent_external_installs() {
             h.join().expect("external install panicked");
         }
     });
-}
-
-#[test]
-fn spin_only_policy_still_correct() {
-    let n = scaled(5_000);
-    let pool = ThreadPool::with_config(
-        Config::new().num_workers(3).wait_policy(WaitPolicy::SpinOnly),
-    )
-    .expect("pool");
-    let count = AtomicUsize::new(0);
-    pool.install(|| {
-        for_each_index(0..n, Grain::Explicit(32), |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-    });
-    assert_eq!(count.load(Ordering::Relaxed), n);
 }
 
 #[test]

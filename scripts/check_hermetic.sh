@@ -39,12 +39,15 @@ while IFS= read -r manifest; do
     fi
 done < <(find . -name Cargo.toml -not -path "./target/*" -not -path "./.git/*")
 
-# Belt and braces: the lockfile must not reference any registry or git source.
-if [ -f Cargo.lock ] && grep -q '^source = ' Cargo.lock; then
-    echo "check_hermetic: Cargo.lock pins a non-path source:" >&2
-    grep '^source = ' Cargo.lock | sort -u >&2
-    fail=1
-fi
+# Belt and braces: no lockfile in the tree (the root workspace's, perf/'s) may
+# reference a registry or git source.
+while IFS= read -r lock; do
+    if grep -q '^source = ' "$lock"; then
+        echo "check_hermetic: $lock pins a non-path source:" >&2
+        grep '^source = ' "$lock" | sort -u >&2
+        fail=1
+    fi
+done < <(find . -name Cargo.lock -not -path "*/target/*" -not -path "./.git/*")
 
 if [ "$fail" -ne 0 ]; then
     echo "check_hermetic: FAILED — the workspace must stay registry-free" >&2

@@ -663,70 +663,60 @@ fn dying_worker_strands_no_planted_jobs() {
     drop(pool);
 }
 
-/// The satellite bugfix regression: a fully degraded supervised pool
-/// (zero live workers, exhausted respawn budget) falls back to serial
-/// in-place installs, and that fallback must run in **serial-elision
-/// order under both spawn policies**. Help-first on a pool with thieves
-/// merely swaps which branch is stealable; on the degraded emergency
-/// worker nothing is ever stolen, so honoring help-first there would
-/// reorder effects (`b` before `a`) relative to the serial elision — the
-/// emergency worker therefore forces work-first regardless of the
-/// configured policy.
+/// A fully degraded supervised pool (zero live workers, exhausted respawn
+/// budget) falls back to serial in-place installs, and that fallback must
+/// run in **serial-elision order**: on the emergency worker nothing is
+/// ever stolen, so every `join` runs its child, then its continuation.
 #[test]
-fn degraded_pool_keeps_serial_elision_order_under_both_policies() {
+fn degraded_pool_keeps_serial_elision_order() {
     let _serial = serial();
-    use cilk::SpawnPolicy;
-    for policy in [SpawnPolicy::WorkFirst, SpawnPolicy::HelpFirst] {
-        let plan = FaultPlan::single(FaultSite::Spawn, 1, FaultAction::Die);
-        let armed = plan.armed();
-        let config = Config::new()
-            .num_workers(1)
-            .fault_handler(armed.as_handler())
-            .spawn_policy(policy)
-            .supervision(SupervisionPolicy::new().max_respawns(0).seed(0xDAC));
-        let pool = ThreadPool::with_config(config).expect("pool builds");
+    let plan = FaultPlan::single(FaultSite::Spawn, 1, FaultAction::Die);
+    let armed = plan.armed();
+    let config = Config::new()
+        .num_workers(1)
+        .fault_handler(armed.as_handler())
+        .supervision(SupervisionPolicy::new().max_respawns(0).seed(0xDAC));
+    let pool = ThreadPool::with_config(config).expect("pool builds");
 
-        // Round 1 plants the death; the in-flight work still completes.
-        let v = pool.install(|| fib_cutoff(12, 6));
-        assert_eq!(v, fib_serial(12), "{policy:?}");
-        assert!(armed.exhausted(), "{policy:?}: the planted death fires");
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while pool.live_workers() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(pool.live_workers(), 0, "{policy:?}: the worker never retired");
-
-        // Round 2 degrades to the emergency serial worker. Nested joins
-        // record the order their effects land; it must be the serial
-        // elision (left branch fully before right) whatever the policy.
-        let order = std::sync::Mutex::new(Vec::new());
-        let note = |tag: u32| order.lock().unwrap().push(tag);
-        let v = pool.install(|| {
-            cilk::runtime::join(
-                || {
-                    note(1);
-                    let (x, y) =
-                        cilk::runtime::join(|| { note(2); 2u64 }, || { note(3); 3u64 });
-                    note(4);
-                    x + y
-                },
-                || {
-                    note(5);
-                    5u64
-                },
-            )
-        });
-        assert_eq!(v, (5, 5), "{policy:?}");
-        assert_eq!(
-            *order.lock().unwrap(),
-            vec![1, 2, 3, 4, 5],
-            "{policy:?}: a degraded install must keep serial-elision order"
-        );
-        let m = pool.metrics();
-        assert!(m.pool_degraded >= 1, "{policy:?}: {m:?}");
-        assert_eq!(cilk::hyper::live_views(), 0, "{policy:?}");
-        drop(pool);
+    // Round 1 plants the death; the in-flight work still completes.
+    let v = pool.install(|| fib_cutoff(12, 6));
+    assert_eq!(v, fib_serial(12));
+    assert!(armed.exhausted(), "the planted death fires");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while pool.live_workers() > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
     }
+    assert_eq!(pool.live_workers(), 0, "the worker never retired");
+
+    // Round 2 degrades to the emergency serial worker. Nested joins
+    // record the order their effects land; it must be the serial
+    // elision (left branch fully before right).
+    let order = std::sync::Mutex::new(Vec::new());
+    let note = |tag: u32| order.lock().unwrap().push(tag);
+    let v = pool.install(|| {
+        cilk::runtime::join(
+            || {
+                note(1);
+                let (x, y) = cilk::runtime::join(|| { note(2); 2u64 }, || { note(3); 3u64 });
+                note(4);
+                x + y
+            },
+            || {
+                note(5);
+                5u64
+            },
+        )
+    });
+    assert_eq!(v, (5, 5));
+    assert_eq!(
+        *order.lock().unwrap(),
+        vec![1, 2, 3, 4, 5],
+        "a degraded install must keep serial-elision order"
+    );
+    let m = pool.metrics();
+    assert!(m.pool_degraded >= 1, "{m:?}");
+    assert_eq!(cilk::hyper::live_views(), 0);
+    drop(pool);
 }
 
 /// The `inject` fault-site sweep: every fault action planted on the
