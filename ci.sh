@@ -159,6 +159,32 @@ echo "== perf: benchmark smoke + unit tests (perf/README.md) =="
 # check and schema check on, timing bounds off. table_overhead is the
 # paper-E5 (spawn overhead on one worker) smoke.
 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick
+
+echo "== perf: parallel-scaling gate (fib_spawn speedup >= 1.0 on >= 2 CPUs) =="
+# Spawn-at-every-level fib must not run slower on P workers than on one:
+# the un-stolen join cycle writes only the calling worker's own memory, so
+# adding a worker adds no traffic to it. (It once ran at 0.56x on 2 workers
+# with no gate to catch it.) A run the benchmark itself flags as disturbed
+# — other load on the machine, or the hypervisor taking processors away —
+# only warns: its timings are the neighbours', not the program's.
+if [ "$(nproc)" -ge 2 ]; then
+    scaling_out="$(cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+        --workload fib_spawn --seconds 5 --trace 0 2>&1)"
+    echo "$scaling_out" | grep -E '^warning:|^  fib_spawn ' || true
+    speedup="$(echo "$scaling_out" | awk '$1 == "fib_spawn" && $2 == "speedup" { print $3 }')"
+    [ -n "$speedup" ] || { echo "perf printed no fib_spawn speedup"; exit 1; }
+    if awk -v s="$speedup" 'BEGIN { exit !(s < 1.0) }'; then
+        if echo "$scaling_out" | grep -qE '^warning: .*(load average|hypervisor took)'; then
+            echo "warning: fib_spawn speedup ${speedup}x < 1.0 on a disturbed machine; not failing"
+        else
+            echo "fib_spawn speedup ${speedup}x < 1.0 on $(nproc) CPUs: a second worker slowed the spawn path down"
+            exit 1
+        fi
+    fi
+else
+    echo "one CPU: no parallel speedup to gate"
+fi
+
 cargo test --release --offline --manifest-path perf/Cargo.toml
 cargo run -q --release --offline -p cilk-bench --bin table_overhead
 

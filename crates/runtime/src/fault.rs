@@ -200,12 +200,12 @@ pub fn fault_point(site: FaultSite) {
 /// the steal-site handling in the registry).
 ///
 /// Every fired fault is reported as a [`crate::probe::ProbeEvent::Fault`]
-/// through the pool's probe seam, which both updates the pool's
+/// through the worker's probe seam, which both updates its
 /// `faults_injected`/`stalls_injected` counters (the metrics consumer)
 /// and reaches any registered global consumer.
 pub(crate) fn apply(wt: &WorkerThread, action: FaultAction, site: FaultSite) {
     if let Some(kind) = action.kind() {
-        wt.registry().probe(crate::probe::ProbeEvent::Fault { site, kind });
+        wt.probe(crate::probe::ProbeEvent::Fault { site, kind });
     }
     match action {
         FaultAction::Continue => {}

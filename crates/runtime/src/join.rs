@@ -74,6 +74,29 @@ where
     RA: Send,
     RB: Send,
 {
+    // The one instrumentation gate: a single relaxed load of the probe
+    // mask says whether any serial-capture consumer, SP-order labeling or
+    // strand profile exists anywhere in the process. When none does — every
+    // production run — the caller's closures go to the worker as they are
+    // and no session thread-local is touched.
+    if probe::sessions_possible() {
+        return join_instrumented(a, b);
+    }
+    // SAFETY: `in_worker` hands its closure the current worker.
+    crate::in_worker(move |wt| unsafe { join_on_worker(wt, a, b) })
+}
+
+/// [`join_context`] while some session may be watching: consults each of
+/// the three session kinds on this thread and wraps the branches for the
+/// ones that are active here.
+#[cold]
+fn join_instrumented<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce(JoinContext) -> RA + Send,
+    B: FnOnce(JoinContext) -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
     // Under a serial-capture session (a race-detector run or an elision
     // profile; see [`crate::probe`]) the join runs as its serial elision
     // on the current thread, bracketed by the pedigree-stamped structure
@@ -85,7 +108,7 @@ where
     // `probe::with_sp_root`) forks the current strand's label pair here:
     // each branch carries its frame bases into its closure and installs
     // them on whichever worker runs it, so "logically parallel" stays
-    // decidable under any schedule. One thread-local read when inactive.
+    // decidable under any schedule.
     let (sp_a, sp_b) = match probe::sp_join_fork() {
         Some((child, cont)) => (Some(child), Some(cont)),
         None => (None, None),
@@ -101,7 +124,7 @@ where
     // A strand-profiling session wraps both branches in frames whose
     // `Copy` context travels with the closure to whichever worker runs
     // it, then combines the two measures on the parent strand — exact at
-    // any worker count. Without a session this is one thread-local read.
+    // any worker count.
     match probe::strand_children() {
         None => crate::in_worker(move |wt| unsafe { join_on_worker(wt, a, b) }),
         Some((actx, bctx)) => {
@@ -198,11 +221,10 @@ where
     RA: Send,
     RB: Send,
 {
-    let registry = wt.registry();
     // Strand boundary: tell the supervisor this worker is making progress.
     wt.beat(crate::supervisor::BeatSite::JoinEntry);
     let depth = wt.bump_depth();
-    registry.probe(ProbeEvent::Spawn { worker: wt.index(), depth });
+    wt.probe(ProbeEvent::Spawn { worker: wt.index(), depth });
 
     let job_b = StackJob::new(
         wt.index(),
@@ -287,7 +309,6 @@ where
     F: FnOnce(bool) -> R + Send,
     R: Send,
 {
-    let registry = wt.registry();
     loop {
         if job.latch.probe() {
             return Resolved::LatchSet;
@@ -295,7 +316,7 @@ where
         if let Some(local) = wt.take_local_job() {
             if local == job_ref {
                 // Nobody stole it: the caller runs it inline.
-                registry.probe(ProbeEvent::InlinePop { worker: wt.index() });
+                wt.probe(ProbeEvent::InlinePop { worker: wt.index() });
                 return Resolved::PoppedBack;
             }
             // Some other local job (e.g. a scope spawn pushed by the side
@@ -416,6 +437,74 @@ mod tests {
             assert_eq!(depths, (1, if steal { 0 } else { 1 }), "{workers} workers");
             assert_eq!(pool.metrics().depth_high_watermark, 5, "{workers} workers");
         }
+    }
+
+    /// The one gate of `join_context`: closed, with no session thread-local
+    /// touched, while nothing can be watching; open while a session of any
+    /// of the three kinds is live, each of which then sees its join.
+    #[test]
+    fn the_gate_opens_for_each_session_kind_and_only_then() {
+        use crate::probe::{self, EventMask, Probe, ProfileSpec};
+        use crate::{Config, ThreadPool};
+        use std::cell::Cell;
+        use std::sync::Arc;
+        use std::thread;
+
+        // Closed. The join runs on the pool's worker, which holds the mask
+        // empty and the thread-locals borrowed around it: taking the
+        // instrumented path would panic on the first of them.
+        let pool = ThreadPool::with_config(Config::new().num_workers(1)).expect("pool");
+        let sum = pool.install(|| {
+            probe::with_sessions_closed_and_untouchable(|| {
+                assert!(!probe::sessions_possible());
+                let (a, b) = join(|| 1, || 2);
+                a + b
+            })
+        });
+        assert_eq!(sum, 3);
+
+        // Open under serial capture (active on this thread only, so the
+        // tests sharing the process keep their parallel joins): both
+        // branches run here, as the serial elision.
+        thread_local! {
+            static CAPTURING: Cell<bool> = const { Cell::new(false) };
+        }
+        struct Capture;
+        impl Probe for Capture {
+            fn mask(&self) -> EventMask {
+                EventMask::NONE
+            }
+            fn serial_capture(&self) -> bool {
+                true
+            }
+            fn active(&self) -> bool {
+                CAPTURING.with(Cell::get)
+            }
+            fn on_event(&self, _event: &ProbeEvent) {}
+        }
+        let capture = probe::register(Arc::new(Capture));
+        CAPTURING.with(|c| c.set(true));
+        assert!(probe::sessions_possible());
+        let here = thread::current().id();
+        let ran_on = join(|| thread::current().id(), || thread::current().id());
+        assert_eq!(ran_on, (here, here));
+        CAPTURING.with(|c| c.set(false));
+        drop(capture);
+
+        // Open under an SP-order labeling: the branches are labeled parallel.
+        probe::with_sp_root(|| {
+            assert!(probe::sessions_possible());
+            let label = || probe::current_sp_label().expect("labeled branch");
+            let (a, b) = join(label, label);
+            assert!(a.parallel_with(&b));
+        });
+
+        // Open under a strand profile: the join is measured.
+        let ((), profile) = probe::profile_strands(ProfileSpec::new(), || {
+            assert!(probe::sessions_possible());
+            join(|| probe::charge(1), || probe::charge(2));
+        });
+        assert_eq!((profile.work, profile.span, profile.spawns), (3, 2, 1));
     }
 
     #[test]

@@ -158,6 +158,18 @@ impl ThreadPool {
         self.registry.metrics()
     }
 
+    /// The per-worker dimension of [`metrics`](ThreadPool::metrics): one
+    /// snapshot per worker slot, indexed by worker index, of the events
+    /// that slot's worker raised itself (its spawns, pops, steals as the
+    /// thief, deque and depth high-watermarks). Events raised off-pool —
+    /// injections, admission decisions, supervision — belong to no worker
+    /// and appear only in the pool-wide snapshot, which is the sum (for
+    /// counts) and maximum (for high-watermarks) of these plus that
+    /// off-pool share.
+    pub fn metrics_per_worker(&self) -> Vec<MetricsSnapshot> {
+        self.registry.metrics_per_worker()
+    }
+
     /// The base seed of this pool's victim-selection PRNG streams:
     /// [`Config::rng_seed`] if pinned, otherwise derived from the
     /// workspace test seed (`CILK_TEST_SEED`). Print it in failure

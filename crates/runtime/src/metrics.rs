@@ -4,204 +4,212 @@
 //! steals are infrequent when parallelism is ample (§3.2), and space
 //! consumption is bounded — "on P processors, a Cilk++ program consumes at
 //! most P times the stack space of a single-processor execution" (§3.1).
+//!
+//! # One table, per-worker blocks
+//!
+//! Every counter is one row of the `counter_table!` invocation below: its
+//! name, whether it is a count (summed) or a high-watermark (maxed), and the
+//! [`ProbeEvent`] that feeds it. The macro generates the storage
+//! ([`CounterBlock`]), the public [`MetricsSnapshot`], the event mapping and
+//! the aggregation from those rows, so the four cannot drift apart.
+//!
+//! A pool owns one [`CounterBlock`] per worker slot plus one for events
+//! raised off-pool. A worker's block is written only by that worker, with
+//! plain load-then-store (no `lock` prefix, no line shared with another
+//! writer): the paper's guarantee charges communication to steals only, and
+//! a spawn that bounced a shared counter line per `join` would sit outside
+//! that model. Readers sum the blocks at snapshot time.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::probe::{FaultKind, ProbeEvent};
 
-/// Atomically tracked counters for one registry (thread pool).
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    /// Successful steals of a job from another worker's deque.
-    pub(crate) steals: AtomicU64,
-    /// Failed steal attempts (victim empty or lost CAS race).
-    pub(crate) failed_steals: AtomicU64,
-    /// Steals served by the locality fast path (cached last victim or
-    /// steal-back target); a subset of `steals`.
-    pub(crate) steals_affinity_hits: AtomicU64,
-    /// Steal rounds that found nothing at their affinity targets and fell
-    /// back to the randomized ring scan.
-    pub(crate) steals_fallback: AtomicU64,
-    /// Jobs pushed by `join` (the stealable continuations).
-    pub(crate) spawns: AtomicU64,
-    /// Jobs pushed by `scope::spawn`.
-    pub(crate) scope_spawns: AtomicU64,
-    /// Jobs injected from outside the pool.
-    pub(crate) injections: AtomicU64,
-    /// Jobs the owner popped back and ran inline (no steal happened).
-    pub(crate) inline_pops: AtomicU64,
-    /// High-watermark of any single worker's deque length.
-    pub(crate) deque_high_watermark: AtomicUsize,
-    /// High-watermark of `join` nesting depth on any worker.
-    pub(crate) depth_high_watermark: AtomicUsize,
-    /// Panics captured from user code (spawned children, scope tasks and
-    /// bodies, `cilk_for` chunks) for propagation to the logical parent.
-    pub(crate) panics_captured: AtomicU64,
-    /// Scope tasks and `cilk_for` subranges skipped because their scope or
-    /// loop was cancelled (a sibling panicked or `Scope::cancel` ran).
-    pub(crate) tasks_cancelled: AtomicU64,
-    /// Steal rounds aborted by an injected fault at the `steal` site.
-    pub(crate) steals_aborted: AtomicU64,
-    /// Faults of any kind fired by the pool's fault handler.
-    pub(crate) faults_injected: AtomicU64,
-    /// Injected stalls (a subset of `faults_injected`).
-    pub(crate) stalls_injected: AtomicU64,
-    /// Workers that died (fault-injected `Die` or an escaped panic).
-    pub(crate) workers_died: AtomicU64,
-    /// Jobs drained from dead workers' deques back into the injector.
-    pub(crate) jobs_reclaimed: AtomicU64,
-    /// Replacement workers spawned by the supervisor.
-    pub(crate) workers_respawned: AtomicU64,
-    /// Degradation events: losses the supervisor could not (or will not)
-    /// recover, including serial in-place installs on a dead pool.
-    pub(crate) pool_degraded: AtomicU64,
-    /// Submissions admitted past quota and shard capacity.
-    pub(crate) jobs_admitted: AtomicU64,
-    /// Submissions rejected at admission (quota, capacity, or shed).
-    pub(crate) jobs_rejected: AtomicU64,
-    /// Multi-job injector transfers done under one lock acquisition
-    /// (handoff-batch claims and batched reclamation requeues).
-    pub(crate) injector_batches: AtomicU64,
-    /// High-watermark of any single injection shard's depth.
-    pub(crate) injector_high_watermark: AtomicUsize,
-    /// Band promotions of jobs that waited past the aging threshold (one
-    /// per band climbed).
-    pub(crate) jobs_aged: AtomicU64,
-    /// Async submissions cancelled before a worker claimed them.
-    pub(crate) jobs_cancelled: AtomicU64,
-    /// Circuit-breaker trips (closed → open transitions).
-    pub(crate) breakers_tripped: AtomicU64,
+/// Alignment and padding unit of a [`CounterBlock`]: two 64-byte lines, so
+/// the adjacent-line prefetcher never pulls a neighbour's block along.
+pub(crate) const BLOCK_ALIGN: usize = 128;
+
+/// Storage type, snapshot type and merge rule of the two counter kinds.
+macro_rules! kind {
+    (atomic count) => { AtomicU64 };
+    (atomic max) => { AtomicUsize };
+    (plain count) => { u64 };
+    (plain max) => { usize };
+    (merge count $into:expr, $from:expr) => { $into += $from };
+    (merge max $into:expr, $from:expr) => { $into = $into.max($from) };
+    // `SHARED` is the const parameter of the expanding `apply`.
+    (write count $cell:expr, $amount:expr) => { add::<SHARED>($cell, $amount as u64) };
+    (write max $cell:expr, $amount:expr) => { raise::<SHARED>($cell, $amount) };
 }
 
-impl Counters {
-    pub(crate) fn record_deque_len(&self, len: usize) {
-        self.deque_high_watermark.fetch_max(len, Ordering::Relaxed);
+/// Adds `n` to a count. `SHARED` blocks have many writers and need the
+/// atomic read-modify-write; a worker's own block has one, so a plain
+/// load-then-store loses nothing and costs no bus lock.
+#[inline(always)]
+fn add<const SHARED: bool>(cell: &AtomicU64, n: u64) {
+    if SHARED {
+        cell.fetch_add(n, Ordering::Relaxed);
+    } else {
+        cell.store(cell.load(Ordering::Relaxed) + n, Ordering::Relaxed);
     }
+}
 
-    pub(crate) fn record_depth(&self, depth: usize) {
-        self.depth_high_watermark.fetch_max(depth, Ordering::Relaxed);
+/// Raises a high-watermark to at least `v`; write disciplines as in [`add`].
+#[inline(always)]
+fn raise<const SHARED: bool>(cell: &AtomicUsize, v: usize) {
+    if SHARED {
+        cell.fetch_max(v, Ordering::Relaxed);
+    } else if v > cell.load(Ordering::Relaxed) {
+        cell.store(v, Ordering::Relaxed);
     }
+}
 
-    /// Relaxed increment of one counter (the only write pattern the pool's
-    /// robustness counters need).
-    #[inline]
-    pub(crate) fn bump(&self, counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
+/// The declarative counter table. Each row reads
+///
+/// ```text
+/// /// documentation (shared by the block field and the snapshot field)
+/// count|max  field_name : EventPattern => amount;
+/// ```
+///
+/// and means "when an event matching `EventPattern` is delivered, add
+/// `amount` to (count) or raise to `amount` (max) the field". An event may
+/// feed several rows.
+macro_rules! counter_table {
+    ($( $(#[$doc:meta])* $kind:ident $name:ident : $event:pat => $amount:expr; )*) => {
+        /// One cache-line-isolated block of the pool's counters: a worker
+        /// slot's own, or the pool's shared block for off-pool events.
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        pub(crate) struct CounterBlock {
+            $( $(#[$doc])* $name: kind!(atomic $kind), )*
+        }
 
-    /// The metrics seam as a probe consumer: every counter update is the
-    /// delivery of one [`ProbeEvent`]. The registry delivers scheduler
-    /// events here directly (see `Registry::probe`) rather than through
-    /// the global consumer list, so per-pool metrics keep their original
-    /// cost — one relaxed `fetch_add` — and need no pool filtering.
-    #[inline]
-    pub(crate) fn on_event(&self, event: &ProbeEvent) {
-        match *event {
-            ProbeEvent::Spawn { depth, .. } => {
-                self.bump(&self.spawns);
-                self.record_depth(depth);
+        impl CounterBlock {
+            /// The metrics seam as a probe consumer: every counter update
+            /// is the delivery of one [`ProbeEvent`]. The call sites pass a
+            /// freshly built event of a known variant, so after inlining
+            /// only the matching rows survive.
+            #[inline(always)]
+            fn apply<const SHARED: bool>(&self, event: &ProbeEvent) {
+                $(
+                    if let $event = *event {
+                        kind!(write $kind &self.$name, $amount);
+                    }
+                )*
             }
-            ProbeEvent::ScopeSpawn { .. } => self.bump(&self.scope_spawns),
-            ProbeEvent::InlinePop { .. } => self.bump(&self.inline_pops),
-            ProbeEvent::Inject => self.bump(&self.injections),
-            ProbeEvent::StealSuccess { .. } => self.bump(&self.steals),
-            ProbeEvent::StealFailed { .. } => self.bump(&self.failed_steals),
-            ProbeEvent::StealLocalAffinity { .. } => self.bump(&self.steals_affinity_hits),
-            ProbeEvent::StealRandomFallback { .. } => self.bump(&self.steals_fallback),
-            ProbeEvent::StealAborted { .. } => self.bump(&self.steals_aborted),
-            ProbeEvent::DequeLen { len, .. } => self.record_deque_len(len),
-            ProbeEvent::PanicCaptured { .. } => self.bump(&self.panics_captured),
-            ProbeEvent::TaskCancelled { .. } => self.bump(&self.tasks_cancelled),
-            ProbeEvent::Fault { kind, .. } => {
-                self.bump(&self.faults_injected);
-                if kind == FaultKind::Stall {
-                    self.bump(&self.stalls_injected);
+
+            pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $name: self.$name.load(Ordering::Relaxed), )*
                 }
             }
-            ProbeEvent::WorkerDied { .. } => self.bump(&self.workers_died),
-            ProbeEvent::DequeReclaimed { jobs, .. } => {
-                self.jobs_reclaimed.fetch_add(jobs as u64, Ordering::Relaxed);
-            }
-            ProbeEvent::WorkerRespawned { .. } => self.bump(&self.workers_respawned),
-            ProbeEvent::PoolDegraded { .. } => self.bump(&self.pool_degraded),
-            ProbeEvent::JobAdmitted { .. } => self.bump(&self.jobs_admitted),
-            ProbeEvent::JobRejected { .. } => self.bump(&self.jobs_rejected),
-            ProbeEvent::InjectorBatch { .. } => self.bump(&self.injector_batches),
-            ProbeEvent::JobAged { .. } => self.bump(&self.jobs_aged),
-            ProbeEvent::JobCancelled { .. } => self.bump(&self.jobs_cancelled),
-            ProbeEvent::BreakerTripped { .. } => self.bump(&self.breakers_tripped),
-            ProbeEvent::QueueDepth { depth, .. } => {
-                self.injector_high_watermark.fetch_max(depth, Ordering::Relaxed);
-            }
-            _ => {}
         }
-    }
+
+        /// A point-in-time snapshot of a pool's counters.
+        ///
+        /// Obtain one from [`crate::ThreadPool::metrics`] (the whole pool)
+        /// or [`crate::ThreadPool::metrics_per_worker`] (one per worker
+        /// slot). All counts are cumulative since pool creation.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct MetricsSnapshot {
+            $( $(#[$doc])* pub $name: kind!(plain $kind), )*
+        }
+
+        impl MetricsSnapshot {
+            /// Folds `other` into `self`: counts add, high-watermarks take
+            /// the maximum. A pool's snapshot is this fold over its
+            /// per-worker snapshots and its off-pool block.
+            pub(crate) fn absorb(&mut self, other: &MetricsSnapshot) {
+                $( kind!(merge $kind self.$name, other.$name); )*
+            }
+        }
+    };
 }
 
-/// A point-in-time snapshot of a pool's counters.
-///
-/// Obtain one from [`crate::ThreadPool::metrics`]. All counts are
-/// cumulative since pool creation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Successful steals.
-    pub steals: u64,
+counter_table! {
+    /// Successful steals of a job from another worker's deque.
+    count steals: ProbeEvent::StealSuccess { .. } => 1;
     /// Steal attempts that found the victim empty or lost a race.
-    pub failed_steals: u64,
+    count failed_steals: ProbeEvent::StealFailed { .. } => 1;
     /// Steals served by the locality fast path (the thief's cached last
     /// victim or its steal-back target); a subset of `steals`.
-    pub steals_affinity_hits: u64,
+    count steals_affinity_hits: ProbeEvent::StealLocalAffinity { .. } => 1;
     /// Steal rounds that found nothing at their affinity targets and fell
     /// back to the randomized ring scan.
-    pub steals_fallback: u64,
+    count steals_fallback: ProbeEvent::StealRandomFallback { .. } => 1;
     /// Continuations made available to thieves by `join`.
-    pub spawns: u64,
+    count spawns: ProbeEvent::Spawn { .. } => 1;
     /// Tasks spawned through a `scope`.
-    pub scope_spawns: u64,
+    count scope_spawns: ProbeEvent::ScopeSpawn { .. } => 1;
     /// Jobs injected from non-pool threads.
-    pub injections: u64,
-    /// Continuations popped back and run inline by their owner.
-    pub inline_pops: u64,
+    count injections: ProbeEvent::Inject => 1;
+    /// Continuations popped back and run inline by their owner (no steal
+    /// happened).
+    count inline_pops: ProbeEvent::InlinePop { .. } => 1;
     /// Maximum observed deque length on any worker.
-    pub deque_high_watermark: usize,
+    max deque_high_watermark: ProbeEvent::DequeLen { len, .. } => len;
     /// Maximum observed `join` nesting depth on any worker.
-    pub depth_high_watermark: usize,
+    max depth_high_watermark: ProbeEvent::Spawn { depth, .. } => depth;
     /// Panics captured from user code for propagation to the logical
     /// parent (spawned children, scope tasks/bodies, `cilk_for` chunks).
-    pub panics_captured: u64,
-    /// Scope tasks and `cilk_for` subranges skipped by cancellation.
-    pub tasks_cancelled: u64,
+    count panics_captured: ProbeEvent::PanicCaptured { .. } => 1;
+    /// Scope tasks and `cilk_for` subranges skipped because their scope or
+    /// loop was cancelled (a sibling panicked or `Scope::cancel` ran).
+    count tasks_cancelled: ProbeEvent::TaskCancelled { .. } => 1;
     /// Steal rounds aborted by an injected fault at the `steal` site.
-    pub steals_aborted: u64,
+    count steals_aborted: ProbeEvent::StealAborted { .. } => 1;
     /// Faults fired by the pool's fault handler (all kinds).
-    pub faults_injected: u64,
+    count faults_injected: ProbeEvent::Fault { .. } => 1;
     /// Injected stalls (a subset of `faults_injected`).
-    pub stalls_injected: u64,
+    count stalls_injected: ProbeEvent::Fault { kind: FaultKind::Stall, .. } => 1;
     /// Workers that died (fault-injected `Die` or an escaped panic).
-    pub workers_died: u64,
+    count workers_died: ProbeEvent::WorkerDied { .. } => 1;
     /// Jobs drained from dead workers' deques back into the injector.
-    pub jobs_reclaimed: u64,
+    count jobs_reclaimed: ProbeEvent::DequeReclaimed { jobs, .. } => jobs;
     /// Replacement workers spawned by the supervisor.
-    pub workers_respawned: u64,
-    /// Degradation events observed (unrecovered losses and serial
-    /// in-place installs on a dead pool).
-    pub pool_degraded: u64,
+    count workers_respawned: ProbeEvent::WorkerRespawned { .. } => 1;
+    /// Degradation events observed: losses the supervisor could not (or
+    /// will not) recover, and serial in-place installs on a dead pool.
+    count pool_degraded: ProbeEvent::PoolDegraded { .. } => 1;
     /// Submissions admitted past quota and shard capacity
     /// (`ThreadPool::submit` and friends).
-    pub jobs_admitted: u64,
+    count jobs_admitted: ProbeEvent::JobAdmitted { .. } => 1;
     /// Submissions rejected at admission (quota, capacity, or shed).
-    pub jobs_rejected: u64,
-    /// Multi-job injector transfers done under one lock acquisition.
-    pub injector_batches: u64,
+    count jobs_rejected: ProbeEvent::JobRejected { .. } => 1;
+    /// Multi-job injector transfers done under one lock acquisition
+    /// (handoff-batch claims and batched reclamation requeues).
+    count injector_batches: ProbeEvent::InjectorBatch { .. } => 1;
     /// Maximum observed depth of any single injection shard.
-    pub injector_high_watermark: usize,
+    max injector_high_watermark: ProbeEvent::QueueDepth { depth, .. } => depth;
     /// Band promotions of jobs that waited past the aging threshold (one
     /// per band climbed).
-    pub jobs_aged: u64,
+    count jobs_aged: ProbeEvent::JobAged { .. } => 1;
     /// Async submissions cancelled before a worker claimed them.
-    pub jobs_cancelled: u64,
+    count jobs_cancelled: ProbeEvent::JobCancelled { .. } => 1;
     /// Circuit-breaker trips (closed → open transitions).
-    pub breakers_tripped: u64,
+    count breakers_tripped: ProbeEvent::BreakerTripped { .. } => 1;
+}
+
+// Layout guard: a block starts on its own 128-byte unit and fills whole
+// units, so no two blocks — and nothing laid out next to one — share a line.
+const _: () = assert!(
+    std::mem::align_of::<CounterBlock>() == BLOCK_ALIGN
+        && std::mem::size_of::<CounterBlock>().is_multiple_of(BLOCK_ALIGN)
+);
+
+impl CounterBlock {
+    /// Delivers `event` to a block with a single writer: the worker that
+    /// owns the slot. No atomic read-modify-write, no shared line.
+    #[inline(always)]
+    pub(crate) fn record_owned(&self, event: &ProbeEvent) {
+        self.apply::<false>(event);
+    }
+
+    /// Delivers `event` to the pool's shared block, which any thread may
+    /// write: external submitters, the supervisor, emergency serial workers.
+    #[inline(always)]
+    pub(crate) fn record_shared(&self, event: &ProbeEvent) {
+        self.apply::<true>(event);
+    }
 }
 
 impl MetricsSnapshot {
@@ -218,144 +226,109 @@ impl MetricsSnapshot {
     }
 }
 
-impl Counters {
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            steals: self.steals.load(Ordering::Relaxed),
-            failed_steals: self.failed_steals.load(Ordering::Relaxed),
-            steals_affinity_hits: self.steals_affinity_hits.load(Ordering::Relaxed),
-            steals_fallback: self.steals_fallback.load(Ordering::Relaxed),
-            spawns: self.spawns.load(Ordering::Relaxed),
-            scope_spawns: self.scope_spawns.load(Ordering::Relaxed),
-            injections: self.injections.load(Ordering::Relaxed),
-            inline_pops: self.inline_pops.load(Ordering::Relaxed),
-            deque_high_watermark: self.deque_high_watermark.load(Ordering::Relaxed),
-            depth_high_watermark: self.depth_high_watermark.load(Ordering::Relaxed),
-            panics_captured: self.panics_captured.load(Ordering::Relaxed),
-            tasks_cancelled: self.tasks_cancelled.load(Ordering::Relaxed),
-            steals_aborted: self.steals_aborted.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            stalls_injected: self.stalls_injected.load(Ordering::Relaxed),
-            workers_died: self.workers_died.load(Ordering::Relaxed),
-            jobs_reclaimed: self.jobs_reclaimed.load(Ordering::Relaxed),
-            workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
-            pool_degraded: self.pool_degraded.load(Ordering::Relaxed),
-            jobs_admitted: self.jobs_admitted.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            injector_batches: self.injector_batches.load(Ordering::Relaxed),
-            injector_high_watermark: self.injector_high_watermark.load(Ordering::Relaxed),
-            jobs_aged: self.jobs_aged.load(Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
-            breakers_tripped: self.breakers_tripped.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn snapshot_reflects_counters() {
-        let c = Counters::default();
-        c.steals.fetch_add(3, Ordering::Relaxed);
-        c.spawns.fetch_add(12, Ordering::Relaxed);
-        c.record_deque_len(5);
-        c.record_deque_len(2);
-        c.record_depth(9);
-        let s = c.snapshot();
-        assert_eq!(s.steals, 3);
-        assert_eq!(s.spawns, 12);
-        assert_eq!(s.deque_high_watermark, 5);
-        assert_eq!(s.depth_high_watermark, 9);
-        assert!((s.steal_ratio() - 0.25).abs() < 1e-12);
-    }
 
     #[test]
     fn steal_ratio_zero_when_no_spawns() {
         assert_eq!(MetricsSnapshot::default().steal_ratio(), 0.0);
     }
 
+    /// Delivers one of every counted event (some twice) through `record`.
+    fn deliver_every_event(record: impl Fn(&ProbeEvent)) {
+        use crate::fault::FaultSite;
+        record(&ProbeEvent::Spawn { worker: 0, depth: 4 });
+        record(&ProbeEvent::Spawn { worker: 0, depth: 2 });
+        record(&ProbeEvent::ScopeSpawn { worker: 0 });
+        record(&ProbeEvent::InlinePop { worker: 0 });
+        record(&ProbeEvent::Inject);
+        record(&ProbeEvent::StealSuccess { thief: 1, victim: 0 });
+        record(&ProbeEvent::StealFailed { thief: 1 });
+        record(&ProbeEvent::StealLocalAffinity { thief: 1, victim: 0 });
+        record(&ProbeEvent::StealRandomFallback { thief: 1 });
+        record(&ProbeEvent::StealAborted { thief: 1 });
+        record(&ProbeEvent::DequeLen { worker: 0, len: 6 });
+        record(&ProbeEvent::DequeLen { worker: 0, len: 3 });
+        record(&ProbeEvent::PanicCaptured { worker: 0 });
+        record(&ProbeEvent::TaskCancelled { worker: 0 });
+        record(&ProbeEvent::Fault { site: FaultSite::Steal, kind: FaultKind::Stall });
+        record(&ProbeEvent::Fault { site: FaultSite::Sync, kind: FaultKind::Panic });
+        record(&ProbeEvent::WorkerDied { worker: 0 });
+        record(&ProbeEvent::DequeReclaimed { worker: 0, jobs: 3 });
+        record(&ProbeEvent::WorkerRespawned { worker: 0 });
+        record(&ProbeEvent::PoolDegraded { live: 0 });
+        record(&ProbeEvent::JobAdmitted { tenant: 3 });
+        record(&ProbeEvent::JobRejected { tenant: 3 });
+        record(&ProbeEvent::JobRejected { tenant: 4 });
+        record(&ProbeEvent::InjectorBatch { jobs: 4 });
+        record(&ProbeEvent::JobAged { tenant: 4 });
+        record(&ProbeEvent::JobAged { tenant: 4 });
+        record(&ProbeEvent::JobCancelled { tenant: 3 });
+        record(&ProbeEvent::BreakerTripped { tenant: 4 });
+        record(&ProbeEvent::QueueDepth { shard: 0, depth: 9 });
+        record(&ProbeEvent::QueueDepth { shard: 1, depth: 2 });
+        // Lifecycle/structure events that map to no counter must be inert.
+        record(&ProbeEvent::WorkerStart { worker: 0 });
+        record(&ProbeEvent::Sync { strand: 1, depth: 0 });
+    }
+
+    /// The table is complete: every field of the snapshot is fed by some
+    /// event, under both write disciplines, with identical results.
     #[test]
     fn counters_consume_probe_events() {
-        use crate::fault::FaultSite;
-        let c = Counters::default();
-        c.on_event(&ProbeEvent::Spawn { worker: 0, depth: 4 });
-        c.on_event(&ProbeEvent::ScopeSpawn { worker: 0 });
-        c.on_event(&ProbeEvent::InlinePop { worker: 0 });
-        c.on_event(&ProbeEvent::Inject);
-        c.on_event(&ProbeEvent::StealSuccess { thief: 1, victim: 0 });
-        c.on_event(&ProbeEvent::StealFailed { thief: 1 });
-        c.on_event(&ProbeEvent::StealLocalAffinity { thief: 1, victim: 0 });
-        c.on_event(&ProbeEvent::StealRandomFallback { thief: 1 });
-        c.on_event(&ProbeEvent::StealAborted { thief: 1 });
-        c.on_event(&ProbeEvent::DequeLen { worker: 0, len: 6 });
-        c.on_event(&ProbeEvent::PanicCaptured { worker: 0 });
-        c.on_event(&ProbeEvent::TaskCancelled { worker: 0 });
-        c.on_event(&ProbeEvent::Fault { site: FaultSite::Steal, kind: FaultKind::Stall });
-        c.on_event(&ProbeEvent::Fault { site: FaultSite::Sync, kind: FaultKind::Panic });
-        c.on_event(&ProbeEvent::WorkerDied { worker: 0 });
-        c.on_event(&ProbeEvent::DequeReclaimed { worker: 0, jobs: 3 });
-        c.on_event(&ProbeEvent::WorkerRespawned { worker: 0 });
-        c.on_event(&ProbeEvent::PoolDegraded { live: 0 });
-        c.on_event(&ProbeEvent::JobAdmitted { tenant: 3 });
-        c.on_event(&ProbeEvent::JobRejected { tenant: 3 });
-        c.on_event(&ProbeEvent::JobRejected { tenant: 4 });
-        c.on_event(&ProbeEvent::InjectorBatch { jobs: 4 });
-        c.on_event(&ProbeEvent::JobAged { tenant: 4 });
-        c.on_event(&ProbeEvent::JobAged { tenant: 4 });
-        c.on_event(&ProbeEvent::JobCancelled { tenant: 3 });
-        c.on_event(&ProbeEvent::BreakerTripped { tenant: 4 });
-        c.on_event(&ProbeEvent::QueueDepth { shard: 0, depth: 9 });
-        c.on_event(&ProbeEvent::QueueDepth { shard: 1, depth: 2 });
-        // Lifecycle/structure events that map to no counter must be inert.
-        c.on_event(&ProbeEvent::WorkerStart { worker: 0 });
-        c.on_event(&ProbeEvent::Sync { strand: 1, depth: 0 });
-        let s = c.snapshot();
-        assert_eq!(s.spawns, 1);
-        assert_eq!(s.depth_high_watermark, 4);
-        assert_eq!(s.scope_spawns, 1);
-        assert_eq!(s.inline_pops, 1);
-        assert_eq!(s.injections, 1);
-        assert_eq!(s.steals, 1);
-        assert_eq!(s.failed_steals, 1);
-        assert_eq!(s.steals_affinity_hits, 1);
-        assert_eq!(s.steals_fallback, 1);
-        assert_eq!(s.steals_aborted, 1);
-        assert_eq!(s.deque_high_watermark, 6);
-        assert_eq!(s.panics_captured, 1);
-        assert_eq!(s.tasks_cancelled, 1);
-        assert_eq!(s.faults_injected, 2);
-        assert_eq!(s.stalls_injected, 1);
-        assert_eq!(s.workers_died, 1);
-        assert_eq!(s.jobs_reclaimed, 3);
-        assert_eq!(s.workers_respawned, 1);
-        assert_eq!(s.pool_degraded, 1);
-        assert_eq!(s.jobs_admitted, 1);
-        assert_eq!(s.jobs_rejected, 2);
-        assert_eq!(s.injector_batches, 1);
-        assert_eq!(s.injector_high_watermark, 9);
-        assert_eq!(s.jobs_aged, 2);
-        assert_eq!(s.jobs_cancelled, 1);
-        assert_eq!(s.breakers_tripped, 1);
+        let owned = CounterBlock::default();
+        deliver_every_event(|e| owned.record_owned(e));
+        let shared = CounterBlock::default();
+        deliver_every_event(|e| shared.record_shared(e));
+        let s = owned.snapshot();
+        assert_eq!(s, shared.snapshot());
+        let expected = MetricsSnapshot {
+            steals: 1,
+            failed_steals: 1,
+            steals_affinity_hits: 1,
+            steals_fallback: 1,
+            spawns: 2,
+            scope_spawns: 1,
+            injections: 1,
+            inline_pops: 1,
+            deque_high_watermark: 6,
+            depth_high_watermark: 4,
+            panics_captured: 1,
+            tasks_cancelled: 1,
+            steals_aborted: 1,
+            faults_injected: 2,
+            stalls_injected: 1,
+            workers_died: 1,
+            jobs_reclaimed: 3,
+            workers_respawned: 1,
+            pool_degraded: 1,
+            jobs_admitted: 1,
+            jobs_rejected: 2,
+            injector_batches: 1,
+            injector_high_watermark: 9,
+            jobs_aged: 2,
+            jobs_cancelled: 1,
+            breakers_tripped: 1,
+        };
+        assert_eq!(s, expected);
+        assert!((s.steal_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn robustness_counters_snapshot() {
-        let c = Counters::default();
-        c.bump(&c.panics_captured);
-        c.bump(&c.tasks_cancelled);
-        c.bump(&c.tasks_cancelled);
-        c.bump(&c.steals_aborted);
-        c.bump(&c.faults_injected);
-        c.bump(&c.stalls_injected);
-        c.bump(&c.workers_died);
-        let s = c.snapshot();
-        assert_eq!(s.panics_captured, 1);
-        assert_eq!(s.tasks_cancelled, 2);
-        assert_eq!(s.steals_aborted, 1);
-        assert_eq!(s.faults_injected, 1);
-        assert_eq!(s.stalls_injected, 1);
-        assert_eq!(s.workers_died, 1);
+    fn absorb_sums_counts_and_maxes_watermarks() {
+        let a = CounterBlock::default();
+        a.record_owned(&ProbeEvent::Spawn { worker: 0, depth: 3 });
+        a.record_owned(&ProbeEvent::DequeLen { worker: 0, len: 7 });
+        let b = CounterBlock::default();
+        b.record_owned(&ProbeEvent::Spawn { worker: 1, depth: 9 });
+        b.record_owned(&ProbeEvent::Spawn { worker: 1, depth: 1 });
+        b.record_owned(&ProbeEvent::DequeLen { worker: 1, len: 2 });
+        let mut total = a.snapshot();
+        total.absorb(&b.snapshot());
+        assert_eq!(total.spawns, 3);
+        assert_eq!(total.depth_high_watermark, 9);
+        assert_eq!(total.deque_high_watermark, 7);
+        assert_eq!(total.steals, 0);
     }
 }

@@ -57,6 +57,11 @@ impl EventMask {
     /// Never part of [`EventMask::ALL`]; maintained by the registry.
     pub(crate) const SERIAL_CAPTURE: EventMask = EventMask(1 << 31);
 
+    /// Internal gate bit: an SP-order labeling or strand-profiling session
+    /// is live somewhere in the process. Never part of [`EventMask::ALL`];
+    /// maintained by the registry (see `probe::registry::Session`).
+    pub(crate) const SESSION: EventMask = EventMask(1 << 30);
+
     /// The raw bits.
     pub const fn bits(self) -> u32 {
         self.0
@@ -412,8 +417,8 @@ mod tests {
         assert!(!m.intersects(EventMask::SCHED));
         assert!(EventMask::NONE.is_empty());
         assert!(EventMask::ALL.contains(m));
-        // The internal serial-capture gate is not a deliverable group.
-        assert!(!EventMask::ALL.contains(EventMask::SERIAL_CAPTURE));
+        // The internal gate bits are not deliverable groups.
+        assert!(!EventMask::ALL.intersects(EventMask::SERIAL_CAPTURE | EventMask::SESSION));
     }
 
     #[test]

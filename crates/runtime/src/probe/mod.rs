@@ -6,8 +6,9 @@
 //! **consumers** of this module:
 //!
 //! * every instrumented site builds a [`ProbeEvent`] and hands it to
-//!   [`emit`] (scheduler sites route through the pool's counters first,
-//!   so metrics cost what they always did);
+//!   [`emit`] (scheduler sites first deliver it to the pool's counters:
+//!   a worker to its own cache-line-isolated block with plain stores,
+//!   off-pool threads to the pool's shared block);
 //! * consumers implement [`Probe`] and call [`register`], which composes:
 //!   Cilkscreen, the metrics counters, a fault logger and a profiler can
 //!   all listen at once, and a consumer registered after another session
@@ -31,9 +32,14 @@
 //!
 //! The strand profiler ([`profile_strands`], [`charge`]) is the payoff
 //! consumer built on this layer: it records work/span measures from real
-//! parallel executions. It is frame-based rather than event-based — its
-//! disabled cost is one thread-local read per `join` — and powers
-//! `Cilkview::profile_runtime`.
+//! parallel executions. It is frame-based rather than event-based, and
+//! powers `Cilkview::profile_runtime`.
+//!
+//! The three session kinds a `join` must honour — serial capture, SP-order
+//! labeling ([`with_sp_root`]) and strand profiling — share one gate:
+//! `sessions_possible` is a single relaxed load of the same mask word, and
+//! while it reads `false` the spawning constructs take their
+//! uninstrumented path without touching any session thread-local.
 
 mod events;
 mod registry;
@@ -50,11 +56,21 @@ pub use strand::{
     StrandProfile,
 };
 
+pub(crate) use registry::sessions_possible;
 pub(crate) use sporder::{sp_join_fork, sp_scope_begin, sp_task_fork};
 pub(crate) use strand::{
     strand_children, strand_combine, strand_scope_begin, strand_scope_combine, task_ctx, Measure,
     ScopeSession, StrandCtx, StrandScope,
 };
+
+/// Runs `f` on this thread with the probe mask held empty (no consumer or
+/// session can register meanwhile) and every session thread-local mutably
+/// borrowed, so reaching any session probe inside `f` panics.
+#[cfg(test)]
+pub(crate) fn with_sessions_closed_and_untouchable<R>(f: impl FnOnce() -> R) -> R {
+    let _closed = registry::hold_probes_closed();
+    sporder::with_frames_borrowed(|| strand::with_frames_borrowed(f))
+}
 
 /// Token proving that some serial-capture consumer is active on the
 /// current thread. Spawning constructs hold one for the duration of a

@@ -67,11 +67,36 @@ struct Table {
     entries: Vec<Entry>,
     /// Immutable snapshot handed to readers; rebuilt on every change.
     snapshot: Arc<Vec<Entry>>,
+    /// Live [`Session`] guards (SP-order roots and strand profiles).
+    sessions: usize,
+}
+
+impl Table {
+    fn new() -> Table {
+        Table { next_id: 1, entries: Vec::new(), snapshot: Arc::new(Vec::new()), sessions: 0 }
+    }
+
+    /// Recomputes the gate mask from the table. Must run under the table
+    /// lock, which is what orders the stores.
+    fn store_mask(&self) {
+        let mut mask = EventMask::NONE;
+        for e in &self.entries {
+            mask |= e.mask;
+            if e.serial_capture {
+                mask |= EventMask::SERIAL_CAPTURE;
+            }
+        }
+        if self.sessions > 0 {
+            mask |= EventMask::SESSION;
+        }
+        MASK.store(mask.bits(), Ordering::Relaxed);
+    }
 }
 
 /// Union of all registered consumers' masks, plus the
-/// [`EventMask::SERIAL_CAPTURE`] gate bit if any consumer requests it.
-/// This is the one word every emission site loads.
+/// [`EventMask::SERIAL_CAPTURE`] gate bit if any consumer requests it and
+/// the [`EventMask::SESSION`] gate bit while any [`Session`] is live.
+/// This is the one word every emission site — and every `join` — loads.
 static MASK: AtomicU32 = AtomicU32::new(0);
 
 /// Bumped on every registration change; lets threads cache the snapshot.
@@ -112,11 +137,7 @@ pub fn register(consumer: Arc<dyn Probe>) -> ProbeHandle {
     let mask = consumer.mask();
     let serial_capture = consumer.serial_capture();
     let mut guard = poison::recover(TABLE.lock());
-    let table = guard.get_or_insert_with(|| Table {
-        next_id: 1,
-        entries: Vec::new(),
-        snapshot: Arc::new(Vec::new()),
-    });
+    let table = guard.get_or_insert_with(Table::new);
     let id = table.next_id;
     table.next_id += 1;
     table.entries.push(Entry { id, mask, serial_capture, consumer });
@@ -127,18 +148,67 @@ pub fn register(consumer: Arc<dyn Probe>) -> ProbeHandle {
 /// Rebuilds the snapshot and gate mask after a table change. Must run
 /// under the table lock.
 fn publish(table: &mut Table) {
-    let mut mask = EventMask::NONE;
-    for e in &table.entries {
-        mask |= e.mask;
-        if e.serial_capture {
-            mask |= EventMask::SERIAL_CAPTURE;
-        }
-    }
     table.snapshot = Arc::new(table.entries.clone());
-    MASK.store(mask.bits(), Ordering::Relaxed);
+    table.store_mask();
     // The store above must be visible before threads refresh; a Release
     // bump paired with the Acquire load in `snapshot()` orders them.
     GENERATION.fetch_add(1, Ordering::Release);
+}
+
+/// Keeps the [`EventMask::SESSION`] gate bit set: held by the root of an
+/// SP-order labeling (`with_sp_root`) and by a strand profile
+/// (`profile_strands`) for as long as it runs. Those sessions live in
+/// thread-locals that travel with stolen closures, so "is one active on
+/// this thread?" costs a thread-local probe per `join`; the bit lets
+/// [`sessions_possible`] answer "no" for the whole process with the one
+/// load of the gate mask. A thief that runs a session's closure sees the
+/// bit through the steal's own synchronization.
+pub(crate) struct Session(());
+
+impl Session {
+    pub(crate) fn enter() -> Session {
+        let mut guard = poison::recover(TABLE.lock());
+        let table = guard.get_or_insert_with(Table::new);
+        table.sessions += 1;
+        table.store_mask();
+        Session(())
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        let mut guard = poison::recover(TABLE.lock());
+        let table = guard.as_mut().expect("a live session created the table");
+        table.sessions -= 1;
+        table.store_mask();
+    }
+}
+
+/// The one instrumentation gate of the spawning constructs: whether a
+/// serial-capture consumer is registered or an SP-order / strand session
+/// is live anywhere in the process. `false` (one relaxed load) means no
+/// `join`, `scope` or `cilk_for` on any thread needs its instrumented path.
+#[inline]
+pub(crate) fn sessions_possible() -> bool {
+    MASK.load(Ordering::Relaxed) & (EventMask::SERIAL_CAPTURE.bits() | EventMask::SESSION.bits())
+        != 0
+}
+
+/// Waits until no consumer is registered and no session is live, then
+/// blocks both kinds of registration for as long as the returned guard
+/// lives: the only way a test sharing the process with other tests can
+/// observe the gate closed. Nothing that runs under the guard may reach
+/// the registration lock; with the mask empty, no probe site does.
+#[cfg(test)]
+pub(crate) fn hold_probes_closed() -> impl Sized {
+    loop {
+        let guard = poison::recover(TABLE.lock());
+        if MASK.load(Ordering::Relaxed) == 0 {
+            return guard;
+        }
+        drop(guard);
+        std::thread::yield_now();
+    }
 }
 
 /// Number of currently registered consumers (diagnostics and tests).

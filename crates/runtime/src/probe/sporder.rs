@@ -196,6 +196,9 @@ pub fn current_sp_label() -> Option<SpLabel> {
 /// `pool.install(|| with_sp_root(program))` labels exactly the monitored
 /// computation and nothing else.
 pub fn with_sp_root<R>(f: impl FnOnce() -> R) -> R {
+    // Every frame of the labeling nests inside this call, so one gate
+    // session covers them on whichever workers they run.
+    let _session = super::registry::Session::enter();
     let _root = SpFrameGuard::enter(SpBranch { eng: Vec::new(), heb: Vec::new() });
     f()
 }
@@ -297,6 +300,16 @@ pub(crate) fn sp_task_fork() -> Option<SpBranch> {
         frame.slot = 0;
         frame.refresh_cur();
         Some(task)
+    })
+}
+
+/// Runs `f` with this thread's frame stack mutably borrowed: any SP-order
+/// probe reached inside panics, which is how tests show a path touches none.
+#[cfg(test)]
+pub(crate) fn with_frames_borrowed<R>(f: impl FnOnce() -> R) -> R {
+    LFRAMES.with(|frames| {
+        let _held = frames.borrow_mut();
+        f()
     })
 }
 

@@ -297,6 +297,16 @@ pub fn strand_session_active() -> bool {
     FRAMES.with(|f| !f.borrow().is_empty())
 }
 
+/// Runs `f` with this thread's frame stack mutably borrowed: any strand
+/// probe reached inside panics, which is how tests show a path touches none.
+#[cfg(test)]
+pub(crate) fn with_frames_borrowed<R>(f: impl FnOnce() -> R) -> R {
+    FRAMES.with(|frames| {
+        let _held = frames.borrow_mut();
+        f()
+    })
+}
+
 /// RAII frame guard: `enter` pushes, `finish` pops and yields the
 /// measure; dropping without `finish` (a panicking branch) pops and
 /// discards, keeping the per-thread stack balanced during unwinding.
@@ -447,6 +457,9 @@ pub(crate) fn strand_scope_combine(
 /// Propagates panics from `f` after unwinding the session frame.
 pub fn profile_strands<R>(spec: ProfileSpec, f: impl FnOnce() -> R) -> (R, StrandProfile) {
     let ctx = StrandCtx { burden: spec.burden, record: spec.record_shape, stamp: ROOT_STAMP };
+    // Every frame of the profile nests inside this call, so one gate
+    // session covers them on whichever workers they run.
+    let _session = super::registry::Session::enter();
     let scope = StrandScope::enter(ctx);
     match crate::unwind::halt_unwinding(f) {
         Ok(r) => {

@@ -23,7 +23,7 @@ use crate::job::{JobRef, StackJob};
 use crate::latch::{LockLatch, Probe};
 use crate::latch::Latch;
 use crate::lifecycle::{self, RetireEnv};
-use crate::metrics::{Counters, MetricsSnapshot};
+use crate::metrics::{CounterBlock, MetricsSnapshot};
 use crate::poison;
 use crate::probe::{self, ProbeEvent};
 use crate::supervisor::{self, Supervision};
@@ -63,7 +63,12 @@ pub(crate) struct Registry {
     pub(crate) injector: Injector,
     sleep: Sleep,
     terminate: AtomicBool,
-    pub(crate) counters: Counters,
+    /// One counter block per worker slot, written only by the thread that
+    /// currently owns the slot (see [`WorkerThread::probe`]).
+    worker_counters: Box<[CounterBlock]>,
+    /// The shared block for events raised by anything else: external
+    /// submitters, the supervisor, retiring and emergency serial workers.
+    off_pool_counters: CounterBlock,
     /// Base seed of the pool's victim-selection PRNG streams (per-worker
     /// streams are derived by worker index). Surfaced so randomized test
     /// failures can print the exact value to replay the schedule bias.
@@ -110,7 +115,8 @@ impl Registry {
                 sleepers: AtomicUsize::new(0),
             },
             terminate: AtomicBool::new(false),
-            counters: Counters::default(),
+            worker_counters: (0..n).map(|_| CounterBlock::default()).collect(),
+            off_pool_counters: CounterBlock::default(),
             rng_seed: config.rng_seed.unwrap_or_else(cilk_testkit::base_seed),
             fault_handler: config.fault_handler.clone(),
             stall_timeout: config.stall_timeout,
@@ -210,9 +216,21 @@ impl Registry {
         }
     }
 
-    /// Snapshot of the pool counters.
+    /// Snapshot of the pool counters: counts summed and high-watermarks
+    /// maxed over every worker's block and the off-pool block.
     pub(crate) fn metrics(&self) -> MetricsSnapshot {
-        self.counters.snapshot()
+        let mut total = self.off_pool_counters.snapshot();
+        for block in self.worker_counters.iter() {
+            total.absorb(&block.snapshot());
+        }
+        total
+    }
+
+    /// One snapshot per worker slot, of what that slot's workers counted
+    /// themselves. Off-pool events (injection, admission, supervision) are
+    /// in [`Registry::metrics`] only.
+    pub(crate) fn metrics_per_worker(&self) -> Vec<MetricsSnapshot> {
+        self.worker_counters.iter().map(CounterBlock::snapshot).collect()
     }
 
     /// This pool's fault handler, if one was configured.
@@ -259,13 +277,15 @@ impl Registry {
             .is_some_and(|sup| sup.live() == 0 && !sup.recovery_possible())
     }
 
-    /// Reports one scheduler event: delivered to this pool's metrics
-    /// counters directly (same cost as the pre-probe hand-maintained
-    /// bumps) and then to any registered global probe consumers (one
-    /// relaxed atomic load when there are none).
+    /// Reports one scheduler event raised off-pool (or by a thread that
+    /// owns no worker slot): delivered to the pool's shared counter block —
+    /// one relaxed atomic read-modify-write per counter the event feeds —
+    /// and then to any registered global probe consumers (one relaxed
+    /// atomic load when there are none). Workers report through
+    /// [`WorkerThread::probe`] instead, which writes no shared line.
     #[inline]
     pub(crate) fn probe(&self, event: ProbeEvent) {
-        self.counters.on_event(&event);
+        self.off_pool_counters.record_shared(&event);
         probe::emit(&event);
     }
 
@@ -801,7 +821,7 @@ pub(crate) fn note_panic_captured() {
         // SAFETY: the pointer is set for the lifetime of `main_loop` and
         // only read from its own thread.
         let wt = unsafe { &*ptr };
-        wt.registry().probe(ProbeEvent::PanicCaptured { worker: wt.index() });
+        wt.probe(ProbeEvent::PanicCaptured { worker: wt.index() });
     }
 }
 
@@ -811,7 +831,7 @@ pub(crate) fn note_task_cancelled() {
     if !ptr.is_null() {
         // SAFETY: as in `note_panic_captured`.
         let wt = unsafe { &*ptr };
-        wt.registry().probe(ProbeEvent::TaskCancelled { worker: wt.index() });
+        wt.probe(ProbeEvent::TaskCancelled { worker: wt.index() });
     }
 }
 
@@ -848,6 +868,7 @@ pub(crate) struct WorkerThread {
 
 impl WorkerThread {
     /// The current thread's worker pointer (null on non-pool threads).
+    #[inline]
     pub(crate) fn current() -> *const WorkerThread {
         WORKER_THREAD.with(Cell::get)
     }
@@ -871,12 +892,32 @@ impl WorkerThread {
         let d = self.depth.get() + 1;
         self.depth.set(d);
         // The depth high-watermark is recorded when `join` reports its
-        // `Spawn` probe event (see `Counters::on_event`).
+        // `Spawn` probe event (see the counter table in `metrics`).
         d
     }
 
     pub(crate) fn drop_depth(&self) {
         self.depth.set(self.depth.get().saturating_sub(1));
+    }
+
+    /// Reports one scheduler event raised by this worker: delivered to the
+    /// worker's own counter block with plain stores — it is the block's
+    /// only writer, so the un-stolen `join` cycle writes no line another
+    /// thread writes — and then to any registered global probe consumers
+    /// (one relaxed atomic load when there are none). The emergency serial
+    /// worker owns no slot (several may exist at once under the same
+    /// sentinel index) and reports to the pool's shared block.
+    ///
+    /// Always inlined: every caller passes a freshly built event, and only
+    /// at the call site can the counter table fold down to that variant's
+    /// one or two stores.
+    #[inline(always)]
+    pub(crate) fn probe(&self, event: ProbeEvent) {
+        match self.registry.worker_counters.get(self.index) {
+            Some(own) => own.record_owned(&event),
+            None => self.registry.off_pool_counters.record_shared(&event),
+        }
+        probe::emit(&event);
     }
 
     /// Marks this worker for simulated death (see [`FaultAction::Die`]).
@@ -906,10 +947,15 @@ impl WorkerThread {
     /// behaviour for `join` continuations, which the owner usually pops
     /// right back. Work that exists to be *taken* (scope tasks, handoff
     /// surplus) should go through [`WorkerThread::push_published`].
+    ///
+    /// `#[inline]` here, on [`WorkerThread::take_local_job`] and on
+    /// [`WorkerThread::current`]: `join` is generic, so it is compiled into
+    /// the caller's crate, where these would otherwise be out-of-line calls
+    /// on every spawn.
+    #[inline]
     pub(crate) fn push(&self, job: JobRef) {
         self.deque.push(job);
-        self.registry
-            .probe(ProbeEvent::DequeLen { worker: self.index, len: self.deque.len() });
+        self.probe(ProbeEvent::DequeLen { worker: self.index, len: self.deque.len() });
         self.registry.wake_all();
     }
 
@@ -919,12 +965,12 @@ impl WorkerThread {
     pub(crate) fn push_published(&self, job: JobRef) {
         self.deque.push(job);
         self.deque.publish();
-        self.registry
-            .probe(ProbeEvent::DequeLen { worker: self.index, len: self.deque.len() });
+        self.probe(ProbeEvent::DequeLen { worker: self.index, len: self.deque.len() });
         self.registry.wake_all();
     }
 
     /// Pops the most recent local job, if any.
+    #[inline]
     pub(crate) fn take_local_job(&self) -> Option<JobRef> {
         self.deque.pop()
     }
@@ -954,8 +1000,8 @@ impl WorkerThread {
                 FaultAction::Continue => {}
                 FaultAction::Panic | FaultAction::Die => {
                     let kind = action.kind().expect("non-Continue action has a kind");
-                    self.registry.probe(ProbeEvent::Fault { site: FaultSite::Steal, kind });
-                    self.registry.probe(ProbeEvent::StealAborted { thief: self.index });
+                    self.probe(ProbeEvent::Fault { site: FaultSite::Steal, kind });
+                    self.probe(ProbeEvent::StealAborted { thief: self.index });
                     if action == FaultAction::Die {
                         self.request_death();
                     }
@@ -993,20 +1039,18 @@ impl WorkerThread {
             match self.registry.thread_infos[victim].stealer.steal() {
                 Steal::Success(job) => {
                     self.note_theft(victim);
-                    self.registry
-                        .probe(ProbeEvent::StealLocalAffinity { thief: self.index, victim });
-                    self.registry
-                        .probe(ProbeEvent::StealSuccess { thief: self.index, victim });
+                    self.probe(ProbeEvent::StealLocalAffinity { thief: self.index, victim });
+                    self.probe(ProbeEvent::StealSuccess { thief: self.index, victim });
                     return Some(job);
                 }
                 Steal::Retry | Steal::Empty => {
-                    self.registry.probe(ProbeEvent::StealFailed { thief: self.index });
+                    self.probe(ProbeEvent::StealFailed { thief: self.index });
                 }
             }
         }
         // Affinity missed: fall back to the randomized ring scan over
         // every other worker (the paper's random victim selection).
-        self.registry.probe(ProbeEvent::StealRandomFallback { thief: self.index });
+        self.probe(ProbeEvent::StealRandomFallback { thief: self.index });
         loop {
             let mut retry = false;
             let start = (self.next_random() as usize) % n;
@@ -1026,16 +1070,15 @@ impl WorkerThread {
                 match self.registry.thread_infos[victim].stealer.steal() {
                     Steal::Success(job) => {
                         self.note_theft(victim);
-                        self.registry
-                            .probe(ProbeEvent::StealSuccess { thief: self.index, victim });
+                        self.probe(ProbeEvent::StealSuccess { thief: self.index, victim });
                         return Some(job);
                     }
                     Steal::Retry => {
                         retry = true;
-                        self.registry.probe(ProbeEvent::StealFailed { thief: self.index });
+                        self.probe(ProbeEvent::StealFailed { thief: self.index });
                     }
                     Steal::Empty => {
-                        self.registry.probe(ProbeEvent::StealFailed { thief: self.index });
+                        self.probe(ProbeEvent::StealFailed { thief: self.index });
                     }
                 }
             }
@@ -1077,7 +1120,7 @@ impl WorkerThread {
             if shards > 1 { (self.next_random() as usize) % shards } else { 0 };
         let batch = registry.injector.claim(start, registry.injector.handoff_batch);
         for tenant in batch.aged {
-            registry.probe(ProbeEvent::JobAged { tenant });
+            self.probe(ProbeEvent::JobAged { tenant });
         }
         let mut jobs = batch.jobs.into_iter();
         let first = jobs.next()?;
@@ -1087,7 +1130,7 @@ impl WorkerThread {
             self.push_published(job);
         }
         if surplus > 0 {
-            registry.probe(ProbeEvent::InjectorBatch { jobs: surplus + 1 });
+            self.probe(ProbeEvent::InjectorBatch { jobs: surplus + 1 });
         }
         Some(first)
     }
@@ -1126,7 +1169,7 @@ impl WorkerThread {
     /// The worker's top-level scheduling loop.
     fn main_loop(self) {
         WORKER_THREAD.with(|cell| cell.set(&self as *const WorkerThread));
-        self.registry.probe(ProbeEvent::WorkerStart { worker: self.index });
+        self.probe(ProbeEvent::WorkerStart { worker: self.index });
         let mut died = false;
         loop {
             self.beat(supervisor::BeatSite::MainLoop);
@@ -1159,7 +1202,7 @@ impl WorkerThread {
         if died {
             self.retire();
         } else {
-            self.registry.probe(ProbeEvent::WorkerTerminate { worker: self.index });
+            self.probe(ProbeEvent::WorkerTerminate { worker: self.index });
         }
     }
 
@@ -1296,17 +1339,79 @@ mod tests {
         }
     }
 
+    /// Spawn-at-every-level fib: `fib(n + 1) - 1` joins.
+    fn fib(n: u64) -> u64 {
+        if n < 2 {
+            return n;
+        }
+        let (a, b) = crate::join(|| fib(n - 1), || fib(n - 2));
+        a + b
+    }
+
+    #[test]
+    fn per_worker_snapshots_and_the_off_pool_block_fold_to_the_pool_metrics() {
+        let config = Config::new().num_workers(4);
+        let (registry, handles) = Registry::new(&config).expect("spawn workers");
+        assert_eq!(registry.in_worker(|_| fib(18)), 2584);
+        // Quiesce: once the workers have exited, no block has a writer.
+        registry.terminate();
+        for h in handles {
+            h.join().expect("worker panicked");
+        }
+        let per_worker = registry.metrics_per_worker();
+        let off_pool = registry.off_pool_counters.snapshot();
+        let total = registry.metrics();
+        assert_eq!(per_worker.len(), 4);
+        let mut folded = off_pool;
+        for worker in &per_worker {
+            folded.absorb(worker);
+        }
+        assert_eq!(folded, total);
+        // The same by hand for a count and a high-watermark: every join was
+        // counted by the worker that ran it, the one injection by nobody's.
+        assert_eq!(per_worker.iter().map(|w| w.spawns).sum::<u64>(), 4180);
+        assert_eq!(total.spawns, 4180);
+        assert_eq!(
+            per_worker.iter().map(|w| w.depth_high_watermark).max(),
+            Some(total.depth_high_watermark)
+        );
+        assert_eq!((off_pool.spawns, off_pool.injections, total.injections), (0, 1, 1));
+        assert!(per_worker.iter().all(|w| w.injections == 0));
+    }
+
+    #[test]
+    fn counter_blocks_never_share_a_cache_line() {
+        let unit = crate::metrics::BLOCK_ALIGN;
+        let (registry, handles) =
+            Registry::new(&Config::new().num_workers(3)).expect("spawn workers");
+        let spans: Vec<(usize, usize)> = registry
+            .worker_counters
+            .iter()
+            .chain([&registry.off_pool_counters])
+            .map(|block| {
+                let start = block as *const CounterBlock as usize;
+                (start, start + std::mem::size_of::<CounterBlock>())
+            })
+            .collect();
+        assert_eq!(spans.len(), 4);
+        for (i, a) in spans.iter().enumerate() {
+            // Whole 128-byte units, so nothing else shares a block's lines…
+            assert_eq!((a.0 % unit, a.1 % unit), (0, 0), "block {i} at {a:x?}");
+            // …and no two blocks overlap.
+            for b in &spans[i + 1..] {
+                assert!(a.1 <= b.0 || b.1 <= a.0, "{a:x?} overlaps {b:x?}");
+            }
+        }
+        registry.terminate();
+        for h in handles {
+            h.join().expect("worker panicked");
+        }
+    }
+
     #[test]
     fn affinity_hits_stay_subset_of_steals() {
         let config = Config::new().num_workers(4);
         let (registry, handles) = Registry::new(&config).expect("spawn workers");
-        fn fib(n: u64) -> u64 {
-            if n < 2 {
-                return n;
-            }
-            let (a, b) = crate::join(|| fib(n - 1), || fib(n - 2));
-            a + b
-        }
         let v = registry.in_worker(|_| fib(18));
         assert_eq!(v, 2584);
         let m = registry.metrics();

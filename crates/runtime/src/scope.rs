@@ -105,7 +105,7 @@ impl<'scope> Scope<'scope> {
         // label bases off the spawning strand's frame — the spawner
         // continues as the task's parallel sibling — and let the task
         // install them on whichever worker runs it.
-        let sp_task = probe::sp_task_fork();
+        let sp_task = if probe::sessions_possible() { probe::sp_task_fork() } else { None };
         if self.state.is_null() {
             // Serial-capture mode: run the task now, as the serial elision
             // would, emitting spawn/return events for the detector. Capture
@@ -189,7 +189,7 @@ impl<'scope> Scope<'scope> {
         // Strand boundary: tell the supervisor this worker is making
         // progress.
         wt.beat(crate::supervisor::BeatSite::ScopeSpawn);
-        wt.registry().probe(ProbeEvent::ScopeSpawn { worker: wt.index() });
+        wt.probe(ProbeEvent::ScopeSpawn { worker: wt.index() });
         // Published immediately: scope tasks exist to be picked up by
         // other workers while this one continues the scope body, so they
         // must not linger in the owner's private window.
@@ -252,21 +252,28 @@ where
     OP: FnOnce(&Scope<'scope>) -> R + Send,
     R: Send,
 {
-    // Under a serial-capture session the scope body runs on the current
-    // thread with inline task execution; the scope's implicit sync is
-    // reported when the body returns.
-    if let Some(capture) = probe::serial_capture() {
-        return scope_serial_capture(capture, op);
-    }
-    // Strand profiling of a scope uses the fork-at-start model
-    // (body ∥ task₀ ∥ task₁ ∥ …; see `docs/probe.md`): the body and each
-    // task run in their own frame, finished measures collect here, and
-    // the combine happens on the calling thread after the implicit sync.
-    let session = probe::strand_scope_begin();
-    // SP-order labeling: the scope body runs in its own sub-frame
-    // (serial with the surrounding code) from which `Scope::spawn` forks
-    // task labels; the caller's frame retires past the implicit sync.
-    let sp_scope = probe::sp_scope_begin();
+    // The same gate as `join`: one relaxed load decides whether any of the
+    // three session kinds can be watching; when none can, no session
+    // thread-local is touched.
+    let (session, sp_scope) = if probe::sessions_possible() {
+        // Under a serial-capture session the scope body runs on the
+        // current thread with inline task execution; the scope's implicit
+        // sync is reported when the body returns.
+        if let Some(capture) = probe::serial_capture() {
+            return scope_serial_capture(capture, op);
+        }
+        // Strand profiling of a scope uses the fork-at-start model
+        // (body ∥ task₀ ∥ task₁ ∥ …; see `docs/probe.md`): the body and
+        // each task run in their own frame, finished measures collect
+        // here, and the combine happens on the calling thread after the
+        // implicit sync. SP-order labeling: the scope body runs in its own
+        // sub-frame (serial with the surrounding code) from which
+        // `Scope::spawn` forks task labels; the caller's frame retires
+        // past the implicit sync.
+        (probe::strand_scope_begin(), probe::sp_scope_begin())
+    } else {
+        (None, None)
+    };
     let measures: Mutex<Vec<(u64, probe::Measure)>> = Mutex::new(Vec::new());
     let measures_ptr = if session.is_some() {
         MeasuresPtr(&measures)

@@ -25,11 +25,11 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cilk::hyper::ReducerList;
 use cilk::runtime::fault::{FaultAction, FaultSite, InjectedFault};
-use cilk::runtime::{Grain, RuntimeStalled, SupervisionPolicy, ThreadPool};
+use cilk::runtime::{Grain, MetricsSnapshot, RuntimeStalled, SupervisionPolicy, ThreadPool};
 use cilk::Config;
 use cilk_faults::{ArmedPlan, FaultPlan, Injection, PlanShape};
 use cilk_workloads::{build_tree, fib_cutoff, fib_serial, matmul, matmul_serial, qsort, Matrix};
@@ -175,6 +175,27 @@ fn digest_f64(m: &Matrix) -> u64 {
     acc
 }
 
+/// The pool's metrics and the plan's fired count, read once the two agree.
+///
+/// A worker counts a fault (a plain store to its own counter block) just
+/// after the plan's handler has counted it, and an idle worker can fire a
+/// steal-site fault at any moment — so a single read of each can catch one
+/// fault between its two counts. Polling both until they match (bounded:
+/// on a deadline the last, disagreeing pair is returned for the caller's
+/// assertion to report) also gives the worker's store time to become
+/// visible here.
+fn settled_fault_counts(pool: &ThreadPool, armed: &ArmedPlan) -> (MetricsSnapshot, u64) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let fired = armed.fired_count() as u64;
+        let metrics = pool.metrics();
+        if metrics.faults_injected == fired || Instant::now() >= deadline {
+            return (metrics, fired);
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+}
+
 /// One seed × worker-count × workload sweep cell: a generated plan runs the
 /// workload, then the robustness invariants are checked.
 fn sweep_cell(seed: u64, workers: usize, workload: Workload) {
@@ -207,10 +228,10 @@ fn sweep_cell(seed: u64, workers: usize, workload: Workload) {
          victim rng {victim_rng:#x}, outcome {outcome:?}",
         workload.name(),
     );
-    let metrics = pool.metrics();
+    let (metrics, fired) = settled_fault_counts(&pool, &armed);
     assert_eq!(
         metrics.faults_injected,
-        armed.fired_count() as u64,
+        fired,
         "metrics disagree with the armed plan: seed {seed}, {workers}w, {} — \
          plan {plan}, victim rng {victim_rng:#x}",
         workload.name(),
@@ -332,9 +353,9 @@ fn stalls_preserve_results() {
                 workload.name()
             );
         }
-        let metrics = pool.metrics();
-        assert_eq!(metrics.stalls_injected, armed.fired_count() as u64);
-        assert_eq!(metrics.faults_injected, metrics.stalls_injected);
+        let (metrics, fired) = settled_fault_counts(&pool, &armed);
+        assert_eq!(metrics.faults_injected, fired);
+        assert_eq!(metrics.stalls_injected, fired);
     }
 }
 

@@ -2,7 +2,7 @@
 //! *schedule*, never the observable outcome. Results, reducer views —
 //! serial element order included — and cilkscreen race sets must be
 //! identical over fib, qsort and the §5 reducer tree walk at 1, 2 and 4
-//! workers.
+//! workers — and the pool's own join counters exact at 1, 2, 4 and 8.
 
 use cilk::hyper::ReducerList;
 use cilk::{Config, ThreadPool};
@@ -11,7 +11,9 @@ use cilk_testkit::prop::{any_int, vec_of};
 use cilkscreen::instrument::run_monitored;
 use cilkscreen::ShadowSlice;
 use cilk_workloads::instrumented::{exposing_qsort_input, qsort_shadow, QSORT_SHADOW_CUTOFF};
-use cilk_workloads::{build_tree, fib, fib_serial, qsort, qsort_serial, walk_reducer, walk_serial};
+use cilk_workloads::{
+    build_tree, fib, fib_cutoff, fib_serial, qsort, qsort_serial, walk_reducer, walk_serial,
+};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -28,6 +30,29 @@ fn fib_agrees_across_workers() {
             let pool = pool_with(workers);
             let got = pool.install(|| fib(n));
             assert_eq!(got, expected, "fib({n}) diverged at {workers} workers");
+        }
+    }
+}
+
+/// The join counters live in per-worker blocks summed at snapshot time;
+/// the sum must stay *exact* at any width, not merely close. A spawn-at-
+/// every-level fib makes one join per internal call of the recursion, and
+/// every continuation a join pushes is popped back by its owner or stolen
+/// — never both, never neither.
+#[test]
+fn join_counters_are_exact_at_any_width() {
+    const N: u64 = 22;
+    // A binary recursion of `2·fib(N+1) − 1` calls has `fib(N+1) − 1`
+    // internal ones.
+    let joins = (cilk_workloads::fib::fib_call_count(N) - 1) / 2;
+    for workers in [1usize, 2, 4, 8] {
+        let pool = pool_with(workers);
+        assert_eq!(pool.install(|| fib_cutoff(N, 0)), fib_serial(N), "{workers} workers");
+        let m = pool.metrics();
+        assert_eq!(m.spawns, joins, "{workers} workers: {m:?}");
+        assert_eq!(m.inline_pops + m.steals, m.spawns, "{workers} workers: {m:?}");
+        if workers == 1 {
+            assert_eq!((m.steals, m.inline_pops), (0, joins), "{m:?}");
         }
     }
 }
