@@ -160,27 +160,34 @@ echo "== perf: benchmark smoke + unit tests (perf/README.md) =="
 # paper-E5 (spawn overhead on one worker) smoke.
 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick
 
-echo "== perf: parallel-scaling gate (fib_spawn speedup >= 1.0 on >= 2 CPUs) =="
-# Spawn-at-every-level fib must not run slower on P workers than on one:
-# the un-stolen join cycle writes only the calling worker's own memory, so
-# adding a worker adds no traffic to it. (It once ran at 0.56x on 2 workers
-# with no gate to catch it.) A run the benchmark itself flags as disturbed
-# — other load on the machine, or the hypervisor taking processors away —
-# only warns: its timings are the neighbours', not the program's.
-if [ "$(nproc)" -ge 2 ]; then
-    scaling_out="$(cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
-        --workload fib_spawn --seconds 5 --trace 0 2>&1)"
-    echo "$scaling_out" | grep -E '^warning:|^  fib_spawn ' || true
-    speedup="$(echo "$scaling_out" | awk '$1 == "fib_spawn" && $2 == "speedup" { print $3 }')"
-    [ -n "$speedup" ] || { echo "perf printed no fib_spawn speedup"; exit 1; }
+echo "== perf: parallel-scaling gates (speedup >= 1.0 on >= 2 CPUs) =="
+# A workload must not run slower on P workers than on one. fib_spawn gates
+# the spawn path (the un-stolen join cycle writes only the calling worker's
+# own memory; it once ran at 0.56x on 2 workers with no gate to catch it),
+# bfs_levels the reducer path (a view access in a stolen strand writes only
+# the thief's own memory; a per-access reference count once held it at
+# 1.3-1.46x). A run the benchmark itself flags as disturbed — other load on
+# the machine, or the hypervisor taking processors away — only warns: its
+# timings are the neighbours', not the program's.
+scaling_gate() { # <workload> <what a slowdown would mean>
+    local workload="$1" meaning="$2" out speedup
+    out="$(cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
+        --workload "$workload" --seconds 5 --trace 0 2>&1)"
+    echo "$out" | grep -E "^warning:|^  $workload " || true
+    speedup="$(echo "$out" | awk -v w="$workload" '$1 == w && $2 == "speedup" { print $3 }')"
+    [ -n "$speedup" ] || { echo "perf printed no $workload speedup"; exit 1; }
     if awk -v s="$speedup" 'BEGIN { exit !(s < 1.0) }'; then
-        if echo "$scaling_out" | grep -qE '^warning: .*(load average|hypervisor took)'; then
-            echo "warning: fib_spawn speedup ${speedup}x < 1.0 on a disturbed machine; not failing"
+        if echo "$out" | grep -qE '^warning: .*(load average|hypervisor took)'; then
+            echo "warning: $workload speedup ${speedup}x < 1.0 on a disturbed machine; not failing"
         else
-            echo "fib_spawn speedup ${speedup}x < 1.0 on $(nproc) CPUs: a second worker slowed the spawn path down"
+            echo "$workload speedup ${speedup}x < 1.0 on $(nproc) CPUs: $meaning"
             exit 1
         fi
     fi
+}
+if [ "$(nproc)" -ge 2 ]; then
+    scaling_gate fib_spawn "a second worker slowed the spawn path down"
+    scaling_gate bfs_levels "a second worker slowed the reducer path down"
 else
     echo "one CPU: no parallel speedup to gate"
 fi

@@ -45,16 +45,10 @@ where
     let (ra, (rb, stolen_views)) = cilk_runtime::join_context(
         |_| a(),
         |ctx| {
-            if ctx.migrated() {
-                // Stolen: execute with fresh views, hand them back for the
-                // ordered merge at the join point.
-                let guard = FrameGuard::push();
-                let r = b();
-                let frame = guard.take();
-                (r, Some(frame))
-            } else {
-                (b(), None)
-            }
+            // Stolen: execute with fresh views, hand them back for the
+            // ordered merge at the join point.
+            let guard = ctx.migrated().then(FrameGuard::push);
+            (b(), guard.map(FrameGuard::take))
         },
     );
     if let Some(frame) = stolen_views {
@@ -101,6 +95,11 @@ impl<'scope> Scope<'_, 'scope> {
             let guard = FrameGuard::push();
             body();
             let frame = guard.take();
+            // A task that touched no reducer has nothing to reduce at scope
+            // exit, and stays off the scope-wide lock.
+            if frame.is_empty() {
+                return;
+            }
             // SAFETY: the collection outlives all tasks of this scope.
             let collected = unsafe { &*collected.0 };
             frames::recover(collected.lock()).push((ctx.seq(), frame));

@@ -7,10 +7,19 @@
 //! every hyperobject lazily materializes a fresh identity view in it; when
 //! the corresponding join completes, the frame's views are reduced — in
 //! serial order — into the caller's views.
+//!
+//! A frame is a vector of `(reducer id, view)` pairs searched linearly — it
+//! holds the views one stolen strand touched, usually none, one or two —
+//! and an empty one allocates nothing. An access ([`checkout`]) borrows the
+//! thread's state only to move the view's box out of its slot into a
+//! [`Lease`]: no user code (a `with` closure, a monoid's `identity` or
+//! `reduce`) runs under the borrow, so it may touch other reducers and
+//! fork, and the slot left empty is how re-entering the *same* reducer is
+//! caught. The path is the calling thread's own memory throughout: no
+//! reference count, no lock, no hashing.
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -38,114 +47,178 @@ pub fn live_views() -> i64 {
     LIVE_VIEWS.load(Ordering::SeqCst)
 }
 
-/// A frame-owned reducer view with leak accounting: creation increments
-/// [`live_views`], consumption (merge) or drop decrements it, so a view
-/// can neither leak nor be double-consumed without the balance showing it.
-pub(crate) struct ViewBox(Option<Box<dyn Any + Send>>);
-
-impl ViewBox {
-    pub(crate) fn new(value: Box<dyn Any + Send>) -> ViewBox {
-        LIVE_VIEWS.fetch_add(1, Ordering::SeqCst);
-        ViewBox(Some(value))
-    }
-
-    /// Consumes the view for a merge, settling its accounting.
-    pub(crate) fn into_inner(mut self) -> Box<dyn Any + Send> {
-        let value = self.0.take().expect("view already consumed");
-        LIVE_VIEWS.fetch_sub(1, Ordering::SeqCst);
-        value
-    }
-
-    pub(crate) fn as_box_mut(&mut self) -> &mut Box<dyn Any + Send> {
-        self.0.as_mut().expect("view already consumed")
-    }
-
-    #[cfg(test)]
-    pub(crate) fn as_box(&self) -> &Box<dyn Any + Send> {
-        self.0.as_ref().expect("view already consumed")
-    }
-}
-
-impl Drop for ViewBox {
-    fn drop(&mut self) {
-        // Discard path (e.g. a frame dropped during unwind): the view dies
-        // here, exactly once.
-        if self.0.is_some() {
-            LIVE_VIEWS.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Type-erased per-reducer operations a view slot needs: identity creation
-/// and ordered merging, plus access to the reducer's leftmost (root) view.
+/// The type-erased per-reducer operation a view slot needs.
 pub(crate) trait SlotOps: Send + Sync {
-    /// A fresh identity view, boxed.
-    fn identity_view(&self) -> Box<dyn Any + Send>;
-    /// `left = left ⊗ right` (order matters).
-    fn merge(&self, left: &mut Box<dyn Any + Send>, right: Box<dyn Any + Send>);
-    /// Reduces `right` into the reducer's leftmost view.
-    fn merge_into_root(&self, right: Box<dyn Any + Send>);
+    /// `left = left ⊗ right` (order matters); with no `left`, into the
+    /// reducer's leftmost (root) view.
+    fn merge(&self, left: Option<&mut (dyn Any + Send)>, right: Box<dyn Any + Send>);
 }
 
-/// One hyperobject's view within a frame.
+/// One hyperobject's view within a frame, with leak accounting: a slot
+/// counts in [`live_views`] from creation until it is dropped — after its
+/// merge, or with its frame on an unwind path — so a view can neither leak
+/// nor be consumed twice without the balance showing it.
 pub(crate) struct ViewSlot {
-    pub(crate) value: ViewBox,
-    pub(crate) ops: Arc<dyn SlotOps>,
+    /// `None` while the view is out on a [`Lease`].
+    view: Option<Box<dyn Any + Send>>,
+    /// The only reference a frame holds on the reducer: cloned when the
+    /// slot is created, once per reducer per steal, never per access.
+    ops: Arc<dyn SlotOps>,
 }
 
-impl std::fmt::Debug for ViewSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ViewSlot").finish_non_exhaustive()
+impl ViewSlot {
+    pub(crate) fn new(view: Box<dyn Any + Send>, ops: Arc<dyn SlotOps>) -> ViewSlot {
+        LIVE_VIEWS.fetch_add(1, Ordering::SeqCst);
+        ViewSlot { view: Some(view), ops }
     }
 }
 
-/// A frame: the set of views created since one steal point.
-#[derive(Debug, Default)]
-pub struct Frame {
-    pub(crate) slots: HashMap<u64, ViewSlot>,
+impl Drop for ViewSlot {
+    fn drop(&mut self) {
+        LIVE_VIEWS.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A frame: the views created since one steal point, keyed by reducer id.
+#[derive(Default)]
+pub(crate) struct Frame {
+    slots: Vec<(u64, ViewSlot)>,
+}
+
+impl Frame {
+    /// Whether the strand that ran under this frame touched no reducer.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    fn slot(&mut self, id: u64) -> Option<&mut ViewSlot> {
+        self.slots.iter_mut().find(|(slot_id, _)| *slot_id == id).map(|(_, slot)| slot)
+    }
+}
+
+/// A thread's view state; never borrowed across user code.
+struct Local {
+    /// One frame per steal context active on this thread, innermost last.
+    frames: Vec<Frame>,
+    /// Reducers this thread is inside a root-context access to, and whose
+    /// root lock it therefore holds.
+    roots_held: Vec<u64>,
 }
 
 thread_local! {
-    static FRAMES: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    static LOCAL: RefCell<Local> =
+        const { RefCell::new(Local { frames: Vec::new(), roots_held: Vec::new() }) };
+}
+
+fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> R {
+    LOCAL.with(|local| f(&mut local.borrow_mut()))
 }
 
 /// RAII guard for a pushed frame; popping on drop keeps the stack balanced
 /// even if the guarded closure panics.
-#[derive(Debug)]
-pub(crate) struct FrameGuard {
-    taken: bool,
-}
+pub(crate) struct FrameGuard(());
 
 impl FrameGuard {
     /// Pushes a fresh frame on the current thread.
     pub(crate) fn push() -> FrameGuard {
-        FRAMES.with(|f| f.borrow_mut().push(Frame::default()));
-        FrameGuard { taken: false }
+        with_local(|local| local.frames.push(Frame::default()));
+        FrameGuard(())
     }
 
     /// Pops and returns the frame (normal completion path).
-    pub(crate) fn take(mut self) -> Frame {
-        self.taken = true;
-        FRAMES.with(|f| f.borrow_mut().pop()).expect("frame stack underflow")
+    pub(crate) fn take(self) -> Frame {
+        std::mem::forget(self);
+        with_local(|local| local.frames.pop()).expect("frame stack underflow")
     }
 }
 
 impl Drop for FrameGuard {
     fn drop(&mut self) {
-        if !self.taken {
-            // Panic path: discard the frame's views.
-            let _ = FRAMES.with(|f| f.borrow_mut().pop());
-        }
+        // Panic path: discard the frame's views.
+        drop(with_local(|local| local.frames.pop()));
     }
 }
 
-/// Runs `f` with mutable access to the top frame, if any. Returns `None`
-/// when the frame stack is empty (the strand runs in root context).
-pub(crate) fn with_top_frame<R>(f: impl FnOnce(&mut Frame) -> R) -> Option<R> {
-    FRAMES.with(|frames| {
-        let mut frames = frames.borrow_mut();
-        frames.last_mut().map(f)
+/// A view moved out of its slot in the top frame for the length of one
+/// access; dropping the lease moves it back. Frames pushed during the
+/// access are popped before it ends (`FrameGuard` nests inside it), so the
+/// top frame is the same frame at both ends.
+pub(crate) struct Lease {
+    id: u64,
+    view: Option<Box<dyn Any + Send>>,
+}
+
+impl Lease {
+    pub(crate) fn view(&mut self) -> &mut (dyn Any + Send) {
+        self.view.as_deref_mut().expect("a lease holds its view until dropped")
+    }
+}
+
+impl Drop for Lease {
+    fn drop(&mut self) {
+        with_local(|local| {
+            if let Some(slot) = local.frames.last_mut().and_then(|top| top.slot(self.id)) {
+                slot.view = self.view.take();
+            }
+        });
+    }
+}
+
+/// The mark of one root-context access in `Local::roots_held`; accesses
+/// nest, so dropping it removes the last mark.
+pub(crate) struct RootHeld(());
+
+impl Drop for RootHeld {
+    fn drop(&mut self) {
+        with_local(|local| local.roots_held.pop());
+    }
+}
+
+/// Where the current strand's view of one reducer lives.
+pub(crate) enum Checkout {
+    /// Empty frame stack: the strand runs in root context, over the
+    /// reducer's leftmost view, which it may now lock.
+    Root(RootHeld),
+    /// The top frame has no view of the reducer yet (it stands for the
+    /// identity); [`install`] gives it one.
+    Absent,
+    /// The view, out of its slot until the lease drops.
+    Held(Lease),
+}
+
+/// Claims the current strand's view of reducer `id` for one access.
+///
+/// # Panics
+///
+/// Naming `id`, if the strand is already inside an access to that view.
+pub(crate) fn checkout(id: u64) -> Checkout {
+    with_local(|local| {
+        let claimed = match local.frames.last_mut() {
+            None if local.roots_held.contains(&id) => None,
+            None => {
+                local.roots_held.push(id);
+                Some(Checkout::Root(RootHeld(())))
+            }
+            Some(top) => match top.slot(id) {
+                None => Some(Checkout::Absent),
+                Some(slot) => slot.view.take().map(|view| Checkout::Held(Lease { id, view: Some(view) })),
+            },
+        };
+        claimed.unwrap_or_else(|| {
+            panic!("reducer {id} re-entered: this strand is already inside an access to it")
+        })
     })
+}
+
+/// Gives the top frame `slot` as its view of `id`, handed straight back
+/// out on a lease; follows a [`checkout`] that returned `Absent`.
+pub(crate) fn install(id: u64, mut slot: ViewSlot) -> Lease {
+    let view = slot.view.take();
+    with_local(|local| {
+        let top = local.frames.last_mut().expect("install follows a checkout that found a frame");
+        top.slots.push((id, slot));
+    });
+    Lease { id, view }
 }
 
 /// Merges `frame` (the views of a completed stolen continuation or scope
@@ -162,34 +235,22 @@ pub(crate) fn merge_frame_into_current(frame: Frame) {
     cilk_runtime::probe::emit(&cilk_runtime::probe::ProbeEvent::ViewMerge {
         views: frame.slots.len(),
     });
-    let leftovers = FRAMES.with(|frames| {
-        let mut frames = frames.borrow_mut();
-        match frames.last_mut() {
-            Some(top) => {
-                for (id, slot) in frame.slots {
-                    // Ordered merges touch both views: bracket them for the
-                    // race detector like any other view access (§5).
-                    let _view = cilk_runtime::probe::view_access(id);
-                    match top.slots.entry(id) {
-                        std::collections::hash_map::Entry::Occupied(mut cur) => {
-                            let ops = Arc::clone(&cur.get().ops);
-                            ops.merge(cur.get_mut().value.as_box_mut(), slot.value.into_inner());
-                        }
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            // Current context held the identity: identity ⊗ x = x.
-                            v.insert(slot);
-                        }
-                    }
-                }
-                None
+    for (id, mut slot) in frame.slots {
+        // Ordered merges touch both views: bracket them for the race
+        // detector like any other view access (§5).
+        let _view = cilk_runtime::probe::view_access(id);
+        match checkout(id) {
+            // Current context held the identity: identity ⊗ x = x.
+            Checkout::Absent => drop(install(id, slot)),
+            // Held until the merge is done: the lease, or the root mark.
+            mut current => {
+                let incoming = slot.view.take().expect("a popped frame has no view out on a lease");
+                let left = match &mut current {
+                    Checkout::Held(lease) => Some(lease.view()),
+                    _ => None,
+                };
+                slot.ops.merge(left, incoming);
             }
-            None => Some(frame),
-        }
-    });
-    if let Some(frame) = leftovers {
-        for (id, slot) in frame.slots {
-            let _view = cilk_runtime::probe::view_access(id);
-            slot.ops.merge_into_root(slot.value.into_inner());
         }
     }
 }
@@ -197,7 +258,7 @@ pub(crate) fn merge_frame_into_current(frame: Frame) {
 /// Depth of the current thread's frame stack (for tests/diagnostics).
 #[cfg(test)]
 pub(crate) fn frame_depth() -> usize {
-    FRAMES.with(|f| f.borrow().len())
+    with_local(|local| local.frames.len())
 }
 
 /// Serializes tests that create views: [`live_views`] is process-global,
@@ -214,22 +275,46 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
+    use cilk_testkit::prop::{any_int, vec_of};
+
     struct VecOps {
         root: Mutex<Vec<u32>>,
     }
 
     impl SlotOps for VecOps {
-        fn identity_view(&self) -> Box<dyn Any + Send> {
-            Box::new(Vec::<u32>::new())
-        }
-        fn merge(&self, left: &mut Box<dyn Any + Send>, right: Box<dyn Any + Send>) {
+        fn merge(&self, left: Option<&mut (dyn Any + Send)>, right: Box<dyn Any + Send>) {
             let right = *right.downcast::<Vec<u32>>().expect("vec view");
-            left.downcast_mut::<Vec<u32>>().expect("vec view").extend(right);
+            match left {
+                Some(left) => left.downcast_mut::<Vec<u32>>().expect("vec view").extend(right),
+                None => self.root.lock().expect("root lock").extend(right),
+            }
         }
-        fn merge_into_root(&self, right: Box<dyn Any + Send>) {
-            let right = *right.downcast::<Vec<u32>>().expect("vec view");
-            self.root.lock().expect("root lock").extend(right);
-        }
+    }
+
+    fn vec_ops() -> Arc<VecOps> {
+        Arc::new(VecOps { root: Mutex::new(Vec::new()) })
+    }
+
+    fn slot(ops: &Arc<VecOps>, view: Vec<u32>) -> ViewSlot {
+        ViewSlot::new(Box::new(view), ops.clone())
+    }
+
+    /// The oracle's shape: views by reducer id.
+    type Model = std::collections::HashMap<u64, Vec<u32>>;
+
+    /// The frame's views by reducer id; a repeated id would show as a
+    /// shorter map than the frame.
+    fn contents(frame: &Frame) -> Model {
+        let views: Model = frame
+            .slots
+            .iter()
+            .map(|(id, slot)| {
+                let view = slot.view.as_ref().expect("view at rest in its slot");
+                (*id, view.downcast_ref::<Vec<u32>>().expect("vec view").clone())
+            })
+            .collect();
+        assert_eq!(views.len(), frame.slots.len(), "one slot per reducer");
+        views
     }
 
     #[test]
@@ -239,7 +324,7 @@ mod tests {
         assert_eq!(frame_depth(), 1);
         let frame = g.take();
         assert_eq!(frame_depth(), 0);
-        assert!(frame.slots.is_empty());
+        assert!(frame.is_empty());
     }
 
     #[test]
@@ -254,68 +339,90 @@ mod tests {
     fn merge_into_root_when_no_frames() {
         let _serial = view_test_lock();
         let ops = Arc::new(VecOps { root: Mutex::new(vec![1]) });
-        let mut frame = Frame::default();
-        frame.slots.insert(
-            7,
-            ViewSlot { value: ViewBox::new(Box::new(vec![2u32, 3])), ops: ops.clone() },
-        );
-        merge_frame_into_current(frame);
+        merge_frame_into_current(Frame { slots: vec![(7, slot(&ops, vec![2, 3]))] });
         assert_eq!(*ops.root.lock().expect("lock"), vec![1, 2, 3]);
     }
 
     #[test]
     fn merge_into_top_frame_preserves_order() {
         let _serial = view_test_lock();
-        let ops = Arc::new(VecOps { root: Mutex::new(Vec::new()) });
+        let ops = vec_ops();
         let g = FrameGuard::push();
-        with_top_frame(|top| {
-            top.slots.insert(
-                7,
-                ViewSlot { value: ViewBox::new(Box::new(vec![10u32])), ops: ops.clone() },
-            );
-        });
-        let mut incoming = Frame::default();
-        incoming.slots.insert(
-            7,
-            ViewSlot { value: ViewBox::new(Box::new(vec![20u32, 30])), ops: ops.clone() },
-        );
-        merge_frame_into_current(incoming);
+        drop(install(7, slot(&ops, vec![10])));
+        merge_frame_into_current(Frame { slots: vec![(7, slot(&ops, vec![20, 30]))] });
         let frame = g.take();
-        let v = frame.slots[&7]
-            .value
-            .as_box()
-            .downcast_ref::<Vec<u32>>()
-            .expect("vec view");
-        assert_eq!(*v, vec![10, 20, 30], "current ⊗ incoming order");
-    }
-
-    #[test]
-    fn view_box_balances_on_consume_and_on_drop() {
-        let _serial = view_test_lock();
-        let before = live_views();
-        let a = ViewBox::new(Box::new(1u8));
-        let b = ViewBox::new(Box::new(2u8));
-        assert_eq!(live_views(), before + 2);
-        drop(a.into_inner());
-        assert_eq!(live_views(), before + 1, "consume settles the count");
-        drop(b);
-        assert_eq!(live_views(), before, "drop settles the count");
+        assert_eq!(contents(&frame)[&7], vec![10, 20, 30], "current ⊗ incoming order");
     }
 
     #[test]
     fn dropped_frame_releases_views() {
         let _serial = view_test_lock();
         let before = live_views();
-        let ops = Arc::new(VecOps { root: Mutex::new(Vec::new()) });
-        let mut frame = Frame::default();
-        for id in 0..4 {
-            frame.slots.insert(
-                id,
-                ViewSlot { value: ViewBox::new(Box::new(Vec::<u32>::new())), ops: ops.clone() },
-            );
-        }
+        let ops = vec_ops();
+        let frame = Frame { slots: (0..4).map(|id| (id, slot(&ops, Vec::new()))).collect() };
         assert_eq!(live_views(), before + 4);
         drop(frame);
         assert_eq!(live_views(), before, "unwind-style discard leaks nothing");
+    }
+
+    #[test]
+    fn a_lease_empties_its_slot_and_refills_it_even_on_unwind() {
+        let _serial = view_test_lock();
+        let before = live_views();
+        let ops = vec_ops();
+        let g = FrameGuard::push();
+        drop(install(3, slot(&ops, vec![1])));
+        let reentry = std::panic::catch_unwind(|| {
+            let Checkout::Held(_outer) = checkout(3) else { panic!("view 3 is installed") };
+            drop(checkout(3));
+        });
+        let message = *reentry.expect_err("second checkout").downcast::<String>().expect("message");
+        assert!(message.contains("reducer 3 re-entered"), "{message}");
+        assert_eq!(live_views(), before + 1, "the unwound lease put its view back");
+        assert_eq!(contents(&g.take())[&3], vec![1]);
+        assert_eq!(live_views(), before);
+    }
+
+    const REDUCERS: u64 = 64;
+
+    cilk_testkit::forall! {
+        /// The vector frame against a `HashMap` oracle: 64 reducers in one
+        /// frame, accessed and merged into in random order. A script word
+        /// with bit 8 clear accesses one reducer's view; one with it set
+        /// merges in a frame holding views of two.
+        fn frame_matches_hashmap_model(script in vec_of(any_int::<u16>(), 0..400)) {
+            let _serial = view_test_lock();
+            let before = live_views();
+            let ops = vec_ops();
+            let mut model = Model::new();
+            let g = FrameGuard::push();
+            for (step, word) in script.into_iter().enumerate() {
+                let (id, step) = (u64::from(word) % REDUCERS, step as u32);
+                if word & 0x100 == 0 {
+                    let mut lease = match checkout(id) {
+                        Checkout::Held(lease) => lease,
+                        Checkout::Absent => install(id, slot(&ops, Vec::new())),
+                        Checkout::Root(_) => unreachable!("a frame is pushed"),
+                    };
+                    lease.view().downcast_mut::<Vec<u32>>().expect("vec view").push(step);
+                    model.entry(id).or_default().push(step);
+                } else {
+                    let other = (id + 1 + u64::from(word >> 9) % (REDUCERS - 1)) % REDUCERS;
+                    let incoming = [(id, vec![step, step]), (other, vec![step])];
+                    for (id, view) in &incoming {
+                        model.entry(*id).or_default().extend(view);
+                    }
+                    merge_frame_into_current(Frame {
+                        slots: incoming.into_iter().map(|(id, view)| (id, slot(&ops, view))).collect(),
+                    });
+                }
+            }
+            let frame = g.take();
+            assert_eq!(live_views(), before + model.len() as i64, "one live view per reducer touched");
+            assert_eq!(contents(&frame), model);
+            drop(frame);
+            assert_eq!(live_views(), before);
+            assert!(ops.root.lock().expect("root lock").is_empty(), "nothing reached the root");
+        }
     }
 }

@@ -180,7 +180,12 @@ where
     }
 
     fn reduce(&self, left: &mut Vec<T>, right: Vec<T>) {
-        left.extend(right);
+        // An empty left takes the right's buffer instead of copying it.
+        if left.is_empty() {
+            *left = right;
+        } else {
+            left.extend(right);
+        }
     }
 }
 
@@ -196,7 +201,12 @@ impl Monoid for StrCat {
     }
 
     fn reduce(&self, left: &mut String, right: String) {
-        left.push_str(&right);
+        // As for `ListAppend`: an empty left takes the right's buffer.
+        if left.is_empty() {
+            *left = right;
+        } else {
+            left.push_str(&right);
+        }
     }
 }
 

@@ -9,7 +9,7 @@ use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::frames::{self, recover, SlotOps, ViewBox, ViewSlot};
+use crate::frames::{self, recover, Checkout, SlotOps, ViewSlot};
 use crate::monoid::{And, ListAppend, Max, Min, Monoid, Or, StrCat, Sum};
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -21,24 +21,20 @@ pub(crate) struct Core<M: Monoid> {
 }
 
 impl<M: Monoid> SlotOps for Core<M> {
-    fn identity_view(&self) -> Box<dyn Any + Send> {
-        Box::new(self.monoid.identity())
-    }
-
-    fn merge(&self, left: &mut Box<dyn Any + Send>, right: Box<dyn Any + Send>) {
+    fn merge(&self, left: Option<&mut (dyn Any + Send)>, right: Box<dyn Any + Send>) {
         let right = *right.downcast::<M::Value>().expect("view type mismatch");
-        let left = left.downcast_mut::<M::Value>().expect("view type mismatch");
-        self.monoid.reduce(left, right);
-    }
-
-    fn merge_into_root(&self, right: Box<dyn Any + Send>) {
-        let right = *right.downcast::<M::Value>().expect("view type mismatch");
-        // Recover from poison: a panicking user `reduce` must not cascade
-        // into every later access of this reducer (see `frames::recover`).
-        let mut root = recover(self.root.lock());
-        match root.as_mut() {
-            Some(left) => self.monoid.reduce(left, right),
-            None => *root = Some(right),
+        match left {
+            Some(left) => self.monoid.reduce(left.downcast_mut().expect("view type mismatch"), right),
+            None => {
+                // Recover from poison: a panicking user `reduce` must not
+                // cascade into every later access of this reducer (see
+                // `frames::recover`).
+                let mut root = recover(self.root.lock());
+                match root.as_mut() {
+                    Some(left) => self.monoid.reduce(left, right),
+                    None => *root = Some(right),
+                }
+            }
         }
     }
 }
@@ -70,6 +66,8 @@ impl<M: Monoid> SlotOps for Core<M> {
 /// assert_eq!(total.into_value(), 3);
 /// ```
 pub struct Reducer<M: Monoid> {
+    // Beside the `Arc`, not behind it: an access in a frame never reads
+    // the line the root lock lives on.
     id: u64,
     core: Arc<Core<M>>,
 }
@@ -104,36 +102,35 @@ impl<M: Monoid> Reducer<M> {
     ///
     /// "A strand can access and change any of its view's state
     /// independently, without synchronizing with other strands." (§5)
-    /// Inside a steal context this touches only thread-local state; only
-    /// strands running in root context (no steal above them) serialize on
-    /// the leftmost view's lock.
+    /// Inside a steal context (a stolen continuation, a [`crate::scope`]
+    /// task) an access touches only the calling thread's own memory — a
+    /// linear search of the frame's few views; no lock, reference count or
+    /// hashing — and the reducer itself only when the view is created, once
+    /// per steal. In root context (no steal above the strand) it is one
+    /// lock and unlock of the leftmost view's mutex, uncontended unless
+    /// several root-context threads share the reducer. Nothing is borrowed
+    /// while `f` runs: it may update other reducers and may fork.
+    ///
+    /// # Panics
+    ///
+    /// If `f` re-enters *this* reducer — calls `with` on it, or joins a
+    /// strand that updated it — naming [`Reducer::id`], in either context.
     pub fn with<R>(&self, f: impl FnOnce(&mut M::Value) -> R) -> R {
         // Bracket the whole access for the race detector (§5 suppression).
         // No-op unless this thread is monitored.
         let _view = cilk_runtime::probe::view_access(self.id);
-        let ops: Arc<dyn SlotOps> = self.core.clone();
-        let id = self.id;
-        let mut f = Some(f);
-        let in_frame = frames::with_top_frame(|top| {
-            let slot = top.slots.entry(id).or_insert_with(|| ViewSlot {
-                value: ViewBox::new(ops.identity_view()),
-                ops: ops.clone(),
-            });
-            let view = slot
-                .value
-                .as_box_mut()
-                .downcast_mut::<M::Value>()
-                .expect("view type mismatch");
-            (f.take().expect("closure not yet consumed"))(view)
-        });
-        match in_frame {
-            Some(r) => r,
-            None => {
-                let mut root = recover(self.core.root.lock());
-                let view = root.get_or_insert_with(|| self.core.monoid.identity());
-                (f.take().expect("closure not yet consumed"))(view)
+        let mut lease = match frames::checkout(self.id) {
+            Checkout::Held(lease) => lease,
+            Checkout::Absent => {
+                let identity = Box::new(self.core.monoid.identity());
+                frames::install(self.id, ViewSlot::new(identity, self.core.clone()))
             }
-        }
+            Checkout::Root(_held) => {
+                let mut root = recover(self.core.root.lock());
+                return f(root.get_or_insert_with(|| self.core.monoid.identity()));
+            }
+        };
+        f(lease.view().downcast_mut().expect("view type mismatch"))
     }
 
     /// Consumes the reducer and returns the fully reduced value.
@@ -142,14 +139,13 @@ impl<M: Monoid> Reducer<M> {
     /// after the enclosing [`crate::join`]/[`crate::scope`] returned); at
     /// that point every stolen view has been folded into the leftmost view.
     pub fn into_value(self) -> M::Value {
-        let mut root = recover(self.core.root.lock());
-        root.take().unwrap_or_else(|| self.core.monoid.identity())
+        self.take()
     }
 
     /// Takes the current leftmost value, resetting it to the identity.
     pub fn take(&self) -> M::Value {
-        let mut root = recover(self.core.root.lock());
-        root.take().unwrap_or_else(|| self.core.monoid.identity())
+        let taken = recover(self.core.root.lock()).take();
+        taken.unwrap_or_else(|| self.core.monoid.identity())
     }
 }
 
@@ -198,15 +194,7 @@ impl<T: Ord + Send + 'static> ReducerMin<T> {
 
     /// Offers `value` as a candidate minimum.
     pub fn update(&self, value: T) {
-        self.with(|v| {
-            let take = match v {
-                Some(cur) => value < *cur,
-                None => true,
-            };
-            if take {
-                *v = Some(value);
-            }
-        });
+        self.with(|v| self.core.monoid.reduce(v, Some(value)));
     }
 }
 
@@ -221,15 +209,7 @@ impl<T: Ord + Send + 'static> ReducerMax<T> {
 
     /// Offers `value` as a candidate maximum.
     pub fn update(&self, value: T) {
-        self.with(|v| {
-            let take = match v {
-                Some(cur) => value > *cur,
-                None => true,
-            };
-            if take {
-                *v = Some(value);
-            }
-        });
+        self.with(|v| self.core.monoid.reduce(v, Some(value)));
     }
 }
 
@@ -348,6 +328,32 @@ mod tests {
         );
         assert!(!all_ok.into_value());
         assert!(any_hit.into_value());
+    }
+
+    /// The counted form of "an access writes no shared line": the only
+    /// references on the reducer's `Arc` are the handle and one per live
+    /// slot, whatever the number of accesses.
+    #[test]
+    fn accesses_leave_the_reference_count_alone() {
+        let _serial = frames::view_test_lock();
+        let r = ReducerSum::<u64>::sum();
+        for _ in 0..10_000 {
+            r.add(1);
+            assert_eq!(Arc::strong_count(&r.core), 1, "root context: the handle alone");
+        }
+        let outer = frames::FrameGuard::push();
+        for _ in 0..10_000 {
+            r.add(1);
+            assert_eq!(Arc::strong_count(&r.core), 2, "one slot in the frame");
+        }
+        let inner = frames::FrameGuard::push();
+        r.add(1);
+        assert_eq!(Arc::strong_count(&r.core), 3, "a slot per frame the reducer was touched in");
+        frames::merge_frame_into_current(inner.take());
+        assert_eq!(Arc::strong_count(&r.core), 2, "a merged slot gives its reference up");
+        frames::merge_frame_into_current(outer.take());
+        assert_eq!(Arc::strong_count(&r.core), 1);
+        assert_eq!(r.into_value(), 20_001);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Stress tests of reducer view management under real multi-worker pools,
 //! where continuations genuinely migrate between workers.
 
-use cilk_hyper::{join, scope, ReducerList, ReducerSum};
+use cilk_hyper::{join, scope, Reducer, ReducerList, ReducerSum, Sum};
 use cilk_runtime::{Config, ThreadPool};
 
 fn pool(workers: usize) -> ThreadPool {
@@ -105,4 +105,71 @@ fn deeply_nested_joins_with_steals() {
     }
     pool.install(|| skewed(&list, 0, 3000));
     assert_eq!(list.into_value(), (0..3000).collect::<Vec<_>>());
+}
+
+/// Runs `body` on a pool worker once in root context (no frame) and once
+/// under a frame (a `scope` task, so no steal has to happen), each time on
+/// fresh reducers; both must behave alike.
+fn in_both_contexts(body: impl Fn() + Sync) {
+    // Tells the contexts apart: under a frame a strand sees a fresh
+    // identity view, not the root's 100.
+    let context = Reducer::with_initial(Sum::<u64>::new(), 100);
+    pool(4).install(|| {
+        assert_eq!(context.with(|x| *x), 100, "root context");
+        body();
+        scope(|s| {
+            s.spawn(|| {
+                assert_eq!(context.with(|x| *x), 0, "under a frame");
+                body();
+            });
+        });
+    });
+}
+
+#[test]
+fn a_with_closure_may_touch_another_reducer() {
+    in_both_contexts(|| {
+        let (a, b) = (ReducerSum::<u64>::sum(), ReducerSum::<u64>::sum());
+        for _ in 0..3 {
+            a.with(|x| {
+                *x += 1;
+                b.add(2);
+            });
+        }
+        // Read inside the task: its views are still this strand's.
+        assert_eq!((a.with(|x| *x), b.with(|x| *x)), (3, 6));
+    });
+}
+
+#[test]
+fn a_with_closure_may_fork() {
+    in_both_contexts(|| {
+        let (a, b) = (ReducerSum::<u64>::sum(), ReducerList::<usize>::list());
+        a.with(|x| {
+            join(|| b.push_back(0), || b.push_back(1));
+            cilk_hyper::for_each_index(2..2000, 4, |i| b.push_back(i));
+            scope(|s| s.spawn(|| b.push_back(2000)));
+            *x += 1;
+        });
+        assert_eq!(a.with(|x| *x), 1);
+        assert_eq!(b.with(|v| v.clone()), (0..=2000).collect::<Vec<_>>());
+    });
+}
+
+#[test]
+fn reentering_the_same_reducer_panics_naming_it() {
+    in_both_contexts(|| {
+        let a = ReducerSum::<u64>::sum();
+        let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            a.with(|x| {
+                *x += 1;
+                a.add(2);
+            });
+        }));
+        let message = *nested.expect_err("nested access").downcast::<String>().expect("message");
+        assert!(message.contains(&format!("reducer {} re-entered", a.id())), "{message}");
+        // The outer access was released on the way out.
+        a.add(4);
+        assert_eq!(a.with(|x| *x), 5);
+    });
 }

@@ -67,6 +67,22 @@ forall! {
     fn string_laws(a in string_of(0..9), b in string_of(0..9), c in string_of(0..9)) {
         assoc_and_identity(&StrCat, a, b, c);
     }
+
+    /// An empty left view takes the right one's buffer instead of copying
+    /// it: same elements, same allocation.
+    fn empty_left_takes_right_by_move(list in vec_of(any_int::<u8>(), 1..64), text in string_of(1..64)) {
+        let (expected, buffer) = (list.clone(), list.as_ptr());
+        let mut left = Vec::new();
+        ListAppend::<u8>::new().reduce(&mut left, list);
+        assert_eq!(left, expected);
+        assert_eq!(left.as_ptr(), buffer, "list moved, not copied");
+
+        let (expected, buffer) = (text.clone(), text.as_ptr());
+        let mut left = String::new();
+        StrCat.reduce(&mut left, text);
+        assert_eq!(left, expected);
+        assert_eq!(left.as_ptr(), buffer, "string moved, not copied");
+    }
 }
 
 /// A random binary reduction tree over a sequence of singleton views.
