@@ -16,6 +16,17 @@ echo "== hermetic dependency check =="
 echo "== tier-1: release build (warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline
 
+echo "== idle path: no timed wait on a worker's way to sleep =="
+# Workers park with no timeout (docs/scheduler.md, "Idle protocol"); the
+# handshake is model-checked below instead of papered over. A timed wait
+# reappearing in the worker loop or the protocol fails here. (External
+# waiters' stall steps go through `LockLatch::wait_for`, in latch.rs.)
+if grep -nE 'wait_timeout(_while)?\(|park_timeout\(' \
+    crates/runtime/src/registry.rs crates/runtime/src/idle.rs; then
+    echo "a timed wait is back on the worker idle path"
+    exit 1
+fi
+
 echo "== lint gate: clippy (when installed) =="
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -27,8 +38,10 @@ echo "== tier-1: test suite =="
 cargo test -q --offline --workspace
 
 echo "== cilk-check: bounded-exhaustive model suites (docs/model-checking.md) =="
-# Under --cfg cilk_check the deque swaps std::sync::atomic for the
-# cilk-check shims, so the models explore the shipping deque code itself.
+# Under --cfg cilk_check the deque and the runtime's idle protocol swap
+# std::sync for the cilk-check shims, so the models explore the shipping
+# code itself (tests/models.rs), and tests/mutation.rs shows the same
+# models catch the planted weakenings of each.
 # A separate target dir keeps the two cfg builds from evicting each
 # other's incremental cache. Any counterexample prints a copy-pasteable
 #   CILK_TEST_SEED=... CILK_CHECK_SCHEDULE=... cargo test ...
@@ -166,7 +179,8 @@ echo "== perf: parallel-scaling gates (speedup >= 1.0 on >= 2 CPUs) =="
 # own memory; it once ran at 0.56x on 2 workers with no gate to catch it),
 # bfs_levels the reducer path (a view access in a stolen strand writes only
 # the thief's own memory; a per-access reference count once held it at
-# 1.3-1.46x). A run the benchmark itself flags as disturbed — other load on
+# 1.3-1.46x), svc_closed the service path (submit, wake one parked worker,
+# claim, complete; it read 1.0x when every push woke every sleeper). A run the benchmark itself flags as disturbed — other load on
 # the machine, or the hypervisor taking processors away — only warns: its
 # timings are the neighbours', not the program's.
 scaling_gate() { # <workload> <what a slowdown would mean>
@@ -188,6 +202,7 @@ scaling_gate() { # <workload> <what a slowdown would mean>
 if [ "$(nproc)" -ge 2 ]; then
     scaling_gate fib_spawn "a second worker slowed the spawn path down"
     scaling_gate bfs_levels "a second worker slowed the reducer path down"
+    scaling_gate svc_closed "a second worker slowed the service path down"
 else
     echo "one CPU: no parallel speedup to gate"
 fi

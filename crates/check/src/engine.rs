@@ -137,6 +137,8 @@ pub struct Failure {
 struct AbortToken;
 
 const THREAD_LOC_BASE: u64 = 1 << 48;
+/// Base of the per-thread wake-token pseudo-locations (`Park`/`Unpark`).
+const TOKEN_LOC_BASE: u64 = 1 << 49;
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct OpSummary {
@@ -152,6 +154,15 @@ enum OpKind {
     Cas { cur: u64, new: u64, succ: Ordering, fail: Ordering },
     Rmw { kind: RmwKind, arg: u64, ord: Ordering },
     Fence(Ordering),
+    /// Acquire a checked mutex: enabled only while its lock word reads 0
+    /// (free); executes as an acquire CAS 0 -> 1. The unlock is an ordinary
+    /// release store of 0.
+    Lock,
+    /// Consume the calling thread's wake token; enabled only while one is
+    /// pending (`std::thread::park` without the spurious wake-ups).
+    Park,
+    /// Hand a wake token to the target thread; tokens do not accumulate.
+    Unpark(usize),
     Join(usize),
     /// The implicit last transition of every spawned thread; makes thread
     /// completion schedulable (and `Join` wake-ups visible to sleep sets).
@@ -186,6 +197,13 @@ impl Op {
                 OpSummary { loc: self.loc.map(|l| l as u64), write: true, sc: is_sc(ord) }
             }
             OpKind::Fence(o) => OpSummary { loc: None, write: false, sc: is_sc(o) },
+            OpKind::Lock => OpSummary { loc: self.loc.map(|l| l as u64), write: true, sc: false },
+            OpKind::Park => {
+                OpSummary { loc: Some(TOKEN_LOC_BASE + self_tid as u64), write: true, sc: false }
+            }
+            OpKind::Unpark(target) => {
+                OpSummary { loc: Some(TOKEN_LOC_BASE + *target as u64), write: true, sc: false }
+            }
             OpKind::Join(target) => {
                 OpSummary { loc: Some(THREAD_LOC_BASE + *target as u64), write: true, sc: false }
             }
@@ -219,11 +237,21 @@ struct ThreadSt {
     parked: bool,
     status: Status,
     result: Option<Box<dyn Any + Send>>,
+    /// A pending wake token, carrying the clock(s) of whoever handed it
+    /// over (`Unpark` synchronizes-with the `Park` that consumes it).
+    token: Option<VClock>,
 }
 
 impl ThreadSt {
     fn new(clock: VClock) -> Self {
-        ThreadSt { clock, pending: None, parked: false, status: Status::Live, result: None }
+        ThreadSt {
+            clock,
+            pending: None,
+            parked: false,
+            status: Status::Live,
+            result: None,
+            token: None,
+        }
     }
 }
 
@@ -302,6 +330,8 @@ struct ExecState {
     aborting: bool,
     done: bool,
     live_os: usize,
+    /// The model's [`at_quiescence`] check, until it runs.
+    at_quiescence: Option<Box<dyn FnOnce() + Send>>,
 }
 
 pub(crate) struct Exec {
@@ -311,6 +341,9 @@ pub(crate) struct Exec {
 
 thread_local! {
     static CURRENT: RefCell<Option<(Arc<Exec>, usize)>> = const { RefCell::new(None) };
+    /// Set while an [`at_quiescence`] check runs on this thread: shimmed
+    /// operations bypass the (finished) execution and hit the real atomics.
+    static BYPASS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 static EXEC_GEN: AtomicU64 = AtomicU64::new(1);
@@ -363,6 +396,11 @@ fn enabled(st: &ExecState, tid: usize) -> bool {
     match &t.pending {
         Some(op) => match op.kind {
             OpKind::Join(target) => st.threads[target].status == Status::Finished,
+            OpKind::Lock => {
+                let loc = op.loc.expect("lock has a location");
+                st.locs[loc].entries.back().expect("location has an entry").val == 0
+            }
+            OpKind::Park => t.token.is_some(),
             _ => true,
         },
         None => false,
@@ -382,6 +420,27 @@ fn schedule_locked(st: &mut ExecState, exec: &Exec) -> Result<(), ()> {
             st.done = true;
             exec.cv.notify_all();
             return Err(());
+        }
+        // Every live thread is parked with no token in flight: the model's
+        // quiescent state, if it declared one. Its check decides whether
+        // this is a legitimate end (idle workers, nothing to do) or a lost
+        // wake-up.
+        let parked = |t: &ThreadSt| matches!(t.pending, Some(Op { kind: OpKind::Park, .. }));
+        if st.threads.iter().all(|t| t.status == Status::Finished || parked(t)) {
+            if let Some(check) = st.at_quiescence.take() {
+                BYPASS.with(|b| b.set(true));
+                let verdict = panic::catch_unwind(AssertUnwindSafe(check));
+                BYPASS.with(|b| b.set(false));
+                match verdict {
+                    // Complete: unwind the parked threads, record no failure.
+                    Ok(()) => {
+                        st.aborting = true;
+                        exec.cv.notify_all();
+                    }
+                    Err(p) => fail_locked(st, exec, payload_msg(p.as_ref())),
+                }
+                return Err(());
+            }
         }
         let blocked: Vec<String> = st
             .threads
@@ -613,7 +672,29 @@ fn execute_op<'a>(
     tid: usize,
     op: Op,
 ) -> (MutexGuard<'a, ExecState>, OpOut) {
-    let out = match op.kind {
+    // A lock acquisition is an acquire CAS that the scheduler only grants
+    // while the lock word reads 0, so it cannot fail.
+    let kind = match op.kind {
+        OpKind::Lock => {
+            OpKind::Cas { cur: 0, new: 1, succ: Ordering::Acquire, fail: Ordering::Relaxed }
+        }
+        kind => kind,
+    };
+    let out = match kind {
+        OpKind::Lock => unreachable!("rewritten to a CAS above"),
+        OpKind::Park => {
+            let msg = st.threads[tid].token.take().expect("park is granted only with a token");
+            st.threads[tid].clock.join(&msg);
+            OpOut::Unit
+        }
+        OpKind::Unpark(target) => {
+            let mut msg = st.threads[tid].clock.clone();
+            if let Some(pending) = st.threads[target].token.take() {
+                msg.join(&pending);
+            }
+            st.threads[target].token = Some(msg);
+            OpOut::Unit
+        }
         OpKind::Fence(ord) => {
             if ord == Ordering::SeqCst {
                 let sc = st.sc.clone();
@@ -817,6 +898,8 @@ pub(crate) enum ShimOp {
     Store(u64, Ordering),
     Cas { cur: u64, new: u64, succ: Ordering, fail: Ordering },
     Rmw { kind: RmwKind, arg: u64, ord: Ordering },
+    /// Blocking acquisition of a lock word (see [`OpKind::Lock`]).
+    Lock,
 }
 
 pub(crate) enum ShimOut {
@@ -830,7 +913,7 @@ fn with_current<R>(f: impl FnOnce(&Arc<Exec>, usize) -> R) -> Option<R> {
     // While unwinding (abort tokens, counterexample panics) shim operations
     // bypass the model and hit the real atomics: `Drop` impls of model
     // state must be able to run without re-entering the aborted execution.
-    if std::thread::panicking() {
+    if std::thread::panicking() || BYPASS.with(|b| b.get()) {
         return None;
     }
     let cur = CURRENT.with(|c| c.borrow().as_ref().map(|(e, t)| (Arc::clone(e), *t)));
@@ -878,6 +961,7 @@ pub(crate) fn shim_op(
             ShimOp::Store(v, o) => OpKind::Store(v, o),
             ShimOp::Cas { cur, new, succ, fail } => OpKind::Cas { cur, new, succ, fail },
             ShimOp::Rmw { kind, arg, ord } => OpKind::Rmw { kind, arg, ord },
+            ShimOp::Lock => OpKind::Lock,
         };
         match op_yield(exec, tid, Op { loc: Some(loc), kind }) {
             OpOut::Val(v) => ShimOut::Val(v),
@@ -893,6 +977,34 @@ pub(crate) fn shim_fence(ord: Ordering) -> Option<()> {
     with_current(|exec, tid| {
         op_yield(exec, tid, Op { loc: None, kind: OpKind::Fence(ord) });
     })
+}
+
+/// Blocks the calling virtual thread until it holds a wake token, then
+/// consumes it. Panics outside a model.
+pub(crate) fn park_vthread() {
+    with_current(|exec, tid| {
+        op_yield(exec, tid, Op { loc: None, kind: OpKind::Park });
+    })
+    .expect("cilk_check::thread::park used outside a model execution")
+}
+
+/// Hands a wake token to virtual thread `target`. Panics outside a model.
+pub(crate) fn unpark_vthread(target: usize) {
+    with_current(|exec, tid| {
+        op_yield(exec, tid, Op { loc: None, kind: OpKind::Unpark(target) });
+    })
+    .expect("cilk_check::thread::unpark used outside a model execution")
+}
+
+/// Declares that this model may end with every unfinished thread parked
+/// (see [`crate::thread::park`]) and registers the check that judges such
+/// an end: if it returns, the execution is complete; if it panics, that is
+/// the counterexample. Without one, an all-blocked end is a deadlock. The
+/// check runs once, after the last transition, with shimmed operations
+/// reading the final (newest) values. Panics outside a model.
+pub fn at_quiescence(check: impl FnOnce() + Send + 'static) {
+    with_current(|exec, _| lk(exec).at_quiescence = Some(Box::new(check)))
+        .expect("cilk_check::at_quiescence used outside a model execution");
 }
 
 /// Whether the calling OS thread is inside a model execution.
@@ -1014,6 +1126,7 @@ fn run_once(cfg: &Config, drive: Drive, path: Vec<Choice>, f: &dyn Fn()) -> (Out
             aborting: false,
             done: false,
             live_os: 0,
+            at_quiescence: None,
         }),
         cv: Condvar::new(),
     });

@@ -28,7 +28,7 @@ mod sched;
 pub mod sync;
 pub mod thread;
 
-pub use engine::{explore, in_model, Config, Failure, Mode, Report};
+pub use engine::{at_quiescence, explore, in_model, Config, Failure, Mode, Report};
 
 use std::sync::Once;
 

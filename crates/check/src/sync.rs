@@ -1,4 +1,5 @@
-//! Checked drop-in replacements for `std::sync::atomic`.
+//! Checked drop-in replacements for `std::sync::atomic`, and a checked
+//! [`Mutex`].
 //!
 //! Inside a model execution every operation on these types is a yield
 //! point recorded by the engine, and loads may return *stale* values per
@@ -12,6 +13,79 @@
 //! provided; `compare_exchange_weak` is modeled without spurious failures
 //! (fewer behaviors than reality, which can hide bugs that *require* a
 //! spurious failure, but never invents impossible ones).
+
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{LockResult, PoisonError};
+
+use crate::engine::{self, ShimOp};
+
+/// A checked `std::sync::Mutex`: inside a model execution `lock` is a
+/// blocking yield point (granted only while the lock is free, with an
+/// acquire edge from the previous unlock) and the guard's drop is a
+/// release store, so critical sections may themselves contain checked
+/// operations and be preempted. Outside an execution it is the `std`
+/// mutex it wraps.
+#[derive(Debug, Default)]
+pub struct Mutex<T> {
+    real: std::sync::Mutex<T>,
+    /// The model's lock word for this mutex (0 free, 1 held).
+    loc: AtomicU64,
+}
+
+/// The guard of a checked [`Mutex`].
+#[derive(Debug)]
+pub struct MutexGuard<'a, T> {
+    /// `None` only while dropping: the real lock is released before the
+    /// model's, so whoever the scheduler grants the lock next finds the
+    /// real one free.
+    real: Option<std::sync::MutexGuard<'a, T>>,
+    /// The lock word to release, when acquired inside an execution.
+    modeled: Option<&'a AtomicU64>,
+}
+
+impl<T> Mutex<T> {
+    /// Creates a new checked mutex holding `v`.
+    pub const fn new(v: T) -> Self {
+        Mutex { real: std::sync::Mutex::new(v), loc: AtomicU64::new(0) }
+    }
+
+    /// Acquires the mutex, blocking (as a schedulable transition) until it
+    /// is free. Poisoning is reported exactly as `std` reports it.
+    pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
+        let modeled = engine::shim_op(&self.loc, &|| 0, ShimOp::Lock).map(|_| &self.loc);
+        match self.real.lock() {
+            Ok(real) => Ok(MutexGuard { real: Some(real), modeled }),
+            Err(poisoned) => Err(PoisonError::new(MutexGuard {
+                real: Some(poisoned.into_inner()),
+                modeled,
+            })),
+        }
+    }
+}
+
+impl<T> Deref for MutexGuard<'_, T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        self.real.as_ref().expect("guard is live until drop")
+    }
+}
+
+impl<T> DerefMut for MutexGuard<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        self.real.as_mut().expect("guard is live until drop")
+    }
+}
+
+impl<T> Drop for MutexGuard<'_, T> {
+    fn drop(&mut self) {
+        self.real = None;
+        if let Some(loc) = self.modeled {
+            // A no-op while an aborted execution unwinds (see `with_current`).
+            let _ = engine::shim_op(loc, &|| 0, ShimOp::Store(0, Ordering::Release));
+        }
+    }
+}
 
 /// Checked counterparts of `std::sync::atomic` types.
 pub mod atomic {

@@ -32,6 +32,23 @@ where
     JoinHandle { tid, _marker: PhantomData }
 }
 
+/// Blocks the calling virtual thread until a wake token is pending for it,
+/// then consumes the token — `std::thread::park` without spurious wake-ups.
+/// A thread parked with no token in flight is simply never scheduled again;
+/// if every live thread ends up blocked, the execution is reported as a
+/// deadlock with a replayable schedule. Panics outside a model execution.
+pub fn park() {
+    engine::park_vthread();
+}
+
+/// Hands a wake token to the virtual thread `tid` (see
+/// [`JoinHandle::tid`]). As with `std::thread::Thread::unpark`, tokens do
+/// not accumulate, and the hand-over synchronizes-with the [`park`] that
+/// consumes it. Panics outside a model execution.
+pub fn unpark(tid: usize) {
+    engine::unpark_vthread(tid);
+}
+
 impl<T: 'static> JoinHandle<T> {
     /// Blocks (as a schedulable transition with a happens-before edge)
     /// until the thread finishes, returning its result.

@@ -256,3 +256,75 @@ fn random_walk_finds_mp() {
     let failure = report.failure.expect("random walk should hit the MP violation");
     assert!(!failure.schedule.is_empty());
 }
+
+/// A checked mutex excludes and synchronizes: two threads doing a
+/// non-atomic read-modify-write of a *relaxed* cell under the lock — with a
+/// yield point inside the critical section — never lose an update, and the
+/// second holder never reads a stale value.
+#[test]
+fn mutex_excludes_and_synchronizes() {
+    use cilk_check::sync::Mutex;
+    let report = model("mutex_excludes_and_synchronizes", || {
+        let cell = Arc::new((Mutex::new(()), AtomicUsize::new(0)));
+        let hs: Vec<_> = (0..2)
+            .map(|_| {
+                let cell = Arc::clone(&cell);
+                thread::spawn(move || {
+                    let _guard = cell.0.lock().unwrap();
+                    let v = cell.1.load(Ordering::Relaxed);
+                    cell.1.store(v + 1, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join();
+        }
+        assert_eq!(cell.1.load(Ordering::Relaxed), 2, "lost update under the lock");
+    });
+    assert!(report.executions > 1, "both lock orders must be explored: {report:?}");
+}
+
+/// `unpark` wakes the parker, and the hand-over is a happens-before edge
+/// (relaxed data written before it is fresh after `park`).
+#[test]
+fn park_unpark_hands_over_one_token() {
+    model("park_unpark_hands_over_one_token", || {
+        let data = Arc::new(AtomicUsize::new(0));
+        let d2 = Arc::clone(&data);
+        let sleeper = thread::spawn(move || {
+            thread::park();
+            assert_eq!(d2.load(Ordering::Relaxed), 7, "unpark must synchronize with park");
+        });
+        data.store(7, Ordering::Relaxed);
+        thread::unpark(sleeper.tid());
+        sleeper.join();
+    });
+}
+
+/// A park nobody answers is a deadlock, reported with a replayable
+/// schedule — the shape a lost wake-up takes under the checker.
+#[test]
+fn unanswered_park_is_a_reported_deadlock() {
+    let report = check(
+        "unanswered_park_is_a_reported_deadlock",
+        &Config::default(),
+        Mode::Exhaustive,
+        || {
+            let flag = Arc::new(AtomicUsize::new(0));
+            let f2 = Arc::clone(&flag);
+            let sleeper = thread::spawn(move || {
+                // Check-then-park with no re-check: the classic lost wake-up.
+                if f2.load(Ordering::SeqCst) == 0 {
+                    thread::park();
+                }
+            });
+            // The producer publishes but never learns of the sleeper, so in
+            // the interleavings where the sleeper checked first it hangs.
+            flag.store(1, Ordering::SeqCst);
+            sleeper.join();
+        },
+    );
+    let failure = report.failure.expect("the lost wake-up must be found");
+    assert!(failure.message.contains("deadlock"), "{}", failure.message);
+    assert!(!failure.schedule.is_empty(), "counterexample must be replayable");
+}

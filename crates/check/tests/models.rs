@@ -1,11 +1,13 @@
-//! Schedule-exploration models of the *real* `cilk-deque` code.
+//! Schedule-exploration models of the *real* `cilk-deque` code, and of the
+//! runtime's idle protocol (`cilk_runtime::idle`).
 //!
 //! This file only compiles under `RUSTFLAGS="--cfg cilk_check"` (ci.sh's
-//! `check` stage): the deque sources swap their `std::sync::atomic` import
-//! for `cilk_check::sync::atomic`, so the code explored here is the code
-//! that ships — not a model of it.
+//! `check` stage): the deque and idle sources swap their `std::sync` imports
+//! for `cilk_check::sync`, so the code explored here is the code that
+//! ships — not a model of it.
 //!
-//! Protocol invariants asserted across every explored interleaving:
+//! Deque invariants asserted across every explored interleaving (the idle
+//! protocol's are stated in `idle_model/mod.rs`):
 //!
 //! * **No lost task, no double execution** — the jobs collected by the
 //!   owner (pops, seal drains) and the thieves partition the pushed set.
@@ -15,6 +17,8 @@
 //! * **Seal is exactly-once** — after `seal` returns, everything not won
 //!   by a thief is in the drained vector, and the deque is empty.
 #![cfg(cilk_check)]
+
+mod idle_model;
 
 use cilk_check::{model_with, thread, Config};
 use cilk_deque::{Deque, Protocol, Steal, Stealer, Worker};
@@ -517,4 +521,55 @@ fn publish_exposes_private_window_elided() {
         all.extend(t.join());
         assert_partition(all, 2);
     });
+}
+
+// ---------------------------------------------------------------------------
+// The idle protocol (ISSUE 16): `cilk_runtime::idle::Idle` itself, compiled
+// against the checker's atomics, fences and mutex, under the two-producer /
+// two-sleeper model of `idle_model`. `mutation.rs` runs the same model over
+// a shadow copy with the fence or the re-scan dropped, and must fail.
+// ---------------------------------------------------------------------------
+
+impl idle_model::Protocol for cilk_runtime::idle::Idle {
+    fn notify_work(&self, env: &idle_model::Pool) {
+        self.notify_work(env);
+    }
+    fn start_search(&self) {
+        self.start_search();
+    }
+    fn end_search(&self, env: &idle_model::Pool) {
+        self.end_search(env);
+    }
+    fn park(&self, slot: usize, env: &idle_model::Pool) {
+        self.park(slot, env);
+    }
+    fn wake_all(&self, env: &idle_model::Pool) {
+        self.wake_all(env);
+    }
+    fn counts(&self) -> (usize, usize) {
+        self.counts()
+    }
+}
+
+/// No lost wake-up and exactly-once tokens, exhaustively at preemption
+/// bound 2: per-worker parking, wake-one on publication, the last searcher
+/// passing the baton — with no timeout anywhere.
+#[test]
+fn idle_two_producers_two_sleepers() {
+    let report = model_with(
+        "idle_two_producers_two_sleepers",
+        &cfg(),
+        idle_model::two_producers_two_sleepers(cilk_runtime::idle::Idle::new),
+    );
+    assert!(report.executions > 1_000, "expected a substantial exploration: {report:?}");
+}
+
+/// Terminate reaches every sleeper, parked or about to be.
+#[test]
+fn idle_terminate_wakes_everyone() {
+    model_with(
+        "idle_terminate_wakes_everyone",
+        &cfg(),
+        idle_model::terminate_wakes_everyone(cilk_runtime::idle::Idle::new),
+    );
 }

@@ -10,6 +10,13 @@
 //! protocols are shadowed: the classic one and the fence-elided private
 //! window (with `retain: 1, publish_batch: 1`, the same tuning the model
 //! suites use), each with its own plantable weakenings.
+//!
+//! The same is done for the runtime's idle protocol: a shadow of
+//! `cilk_runtime::idle::Idle` with a plantable dropped fence and dropped
+//! re-scan, under the very model (`idle_model`) that `tests/models.rs`
+//! passes the shipping code through.
+
+mod idle_model;
 
 use std::cell::Cell;
 use std::sync::atomic::AtomicUsize as RealUsize;
@@ -514,4 +521,156 @@ fn catches_elided_private_overclaim() {
         "catches_elided_private_overclaim",
         partition_model(4, 2, 2, 1, Mutation::ElidedPrivateOverclaim),
     );
+}
+
+// ---------------------------------------------------------------------------
+// The idle protocol's shadow (ISSUE 16): `cilk_runtime::idle::Idle` copied
+// operation for operation, with the sleeper side of the handshake mutable.
+// ---------------------------------------------------------------------------
+
+/// Which step of `Idle::park` to drop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum IdleMutation {
+    /// The faithful copy: must survive exhaustive exploration.
+    None,
+    /// Drop the `SeqCst` fence between registering as parked and the
+    /// re-scan: the re-scan may read a stale "no work" while the producer
+    /// reads a stale "nobody parked" — both sides miss.
+    ParkFenceSkipped,
+    /// Drop the re-scan: a job published after the worker's last look and
+    /// before it registered is seen by nobody.
+    ParkRescanSkipped,
+}
+
+const SEARCHING: usize = 1 << 16;
+const SEARCHER_PARKS: usize = 1usize.wrapping_sub(SEARCHING);
+
+struct ShadowIdle {
+    mutation: IdleMutation,
+    word: cilk_check::sync::atomic::AtomicUsize,
+    parked: cilk_check::sync::Mutex<Vec<usize>>,
+}
+
+impl ShadowIdle {
+    fn new(mutation: IdleMutation) -> Self {
+        ShadowIdle {
+            mutation,
+            word: cilk_check::sync::atomic::AtomicUsize::new(0),
+            parked: cilk_check::sync::Mutex::new(Vec::new()),
+        }
+    }
+
+    fn wake_one(&self, env: &idle_model::Pool) {
+        use cilk_runtime::idle::IdleEnv;
+        let slot = {
+            let mut parked = self.parked.lock().unwrap();
+            if idle_model::Protocol::counts(self).1 > 0 {
+                return;
+            }
+            let Some(slot) = parked.pop() else { return };
+            self.word.fetch_sub(SEARCHER_PARKS, Ordering::Relaxed);
+            slot
+        };
+        env.unblock(slot);
+    }
+}
+
+impl idle_model::Protocol for ShadowIdle {
+    fn counts(&self) -> (usize, usize) {
+        let word = self.word.load(Ordering::Relaxed);
+        (word % SEARCHING, word / SEARCHING)
+    }
+
+    fn notify_work(&self, env: &idle_model::Pool) {
+        fence(Ordering::SeqCst);
+        let (parked, searching) = self.counts();
+        if parked > 0 && searching == 0 {
+            self.wake_one(env);
+        }
+    }
+
+    fn start_search(&self) {
+        self.word.fetch_add(SEARCHING, Ordering::Relaxed);
+    }
+
+    fn end_search(&self, env: &idle_model::Pool) {
+        use cilk_runtime::idle::IdleEnv;
+        if self.word.fetch_sub(SEARCHING, Ordering::Relaxed) / SEARCHING == 1 {
+            fence(Ordering::SeqCst);
+            if env.work_visible() {
+                self.wake_one(env);
+            }
+        }
+    }
+
+    fn park(&self, slot: usize, env: &idle_model::Pool) {
+        use cilk_runtime::idle::IdleEnv;
+        {
+            let mut parked = self.parked.lock().unwrap();
+            parked.push(slot);
+            self.word.fetch_add(SEARCHER_PARKS, Ordering::Relaxed);
+        }
+        if self.mutation != IdleMutation::ParkFenceSkipped {
+            fence(Ordering::SeqCst);
+        }
+        if self.mutation != IdleMutation::ParkRescanSkipped && env.work_visible() {
+            let mut parked = self.parked.lock().unwrap();
+            if let Some(at) = parked.iter().rposition(|&s| s == slot) {
+                parked.remove(at);
+                self.word.fetch_sub(SEARCHER_PARKS, Ordering::Relaxed);
+                return;
+            }
+        }
+        env.block(slot);
+    }
+
+    fn wake_all(&self, env: &idle_model::Pool) {
+        use cilk_runtime::idle::IdleEnv;
+        fence(Ordering::SeqCst);
+        let woken = {
+            let mut parked = self.parked.lock().unwrap();
+            self.word.fetch_sub(SEARCHER_PARKS.wrapping_mul(parked.len()), Ordering::Relaxed);
+            parked.drain(..).collect::<Vec<_>>()
+        };
+        for slot in woken {
+            env.unblock(slot);
+        }
+    }
+}
+
+/// The faithful shadow survives both idle models, as the shipping code
+/// does in `models.rs` — the mutants below differ from it by one step.
+#[test]
+fn faithful_idle_shadow_passes() {
+    let make = |_workers| ShadowIdle::new(IdleMutation::None);
+    model_with("faithful_idle_shadow_passes", &cfg(), idle_model::two_producers_two_sleepers(make));
+    model_with("faithful_idle_shadow_terminates", &cfg(), idle_model::terminate_wakes_everyone(make));
+}
+
+fn assert_lost_wakeup_caught(name: &str, mutation: IdleMutation) {
+    let model = idle_model::two_producers_two_sleepers(move |_workers| ShadowIdle::new(mutation));
+    let report = check(name, &cfg(), Mode::Exhaustive, model);
+    let failure = report
+        .failure
+        .unwrap_or_else(|| panic!("planted mutation not caught in {} executions", report.executions));
+    assert!(
+        failure.message.contains("a lost wake-up"),
+        "unexpected counterexample: {}",
+        failure.message
+    );
+    assert!(!failure.schedule.is_empty(), "counterexample must be replayable");
+}
+
+/// Without the fence, registering as parked and the re-scan are not
+/// ordered against the producer's publish-then-look: both can miss.
+#[test]
+fn catches_idle_park_fence_skipped() {
+    assert_lost_wakeup_caught("catches_idle_park_fence_skipped", IdleMutation::ParkFenceSkipped);
+}
+
+/// Without the re-scan, a job published just before the worker registered
+/// waits for a wake-up nobody owes it.
+#[test]
+fn catches_idle_park_rescan_skipped() {
+    assert_lost_wakeup_caught("catches_idle_park_rescan_skipped", IdleMutation::ParkRescanSkipped);
 }

@@ -423,7 +423,13 @@ impl<T> Worker<T> {
     /// [`Protocol::FenceElided`] the element may land in the owner's
     /// private window and only become visible to thieves at the next batch
     /// publication.
-    pub fn push(&self, value: T) {
+    ///
+    /// Returns whether this push published: `true` when it advanced the
+    /// `bottom` thieves read (every `Classic` push; a batch or empty-public
+    /// publication under `FenceElided`), `false` when the element stayed in
+    /// the private window and no thief can have learned of it. An owner
+    /// that wakes sleeping thieves needs to do so only on `true`.
+    pub fn push(&self, value: T) -> bool {
         debug_assert!(
             !self.inner.sealed.load(Ordering::Relaxed),
             "push on a sealed deque: unseal before reuse"
@@ -436,7 +442,7 @@ impl<T> Worker<T> {
         }
     }
 
-    fn push_classic(&self, value: T) {
+    fn push_classic(&self, value: T) -> bool {
         let b = self.inner.bottom.load(Ordering::Relaxed);
         let t = self.inner.top.load(Ordering::Acquire);
         let mut buf_ptr = self.inner.buffer.load(Ordering::Relaxed);
@@ -454,13 +460,14 @@ impl<T> Worker<T> {
         self.inner.bottom.store(b.wrapping_add(1), Ordering::Release);
         self.owner.stats.pushes.set(self.owner.stats.pushes.get() + 1);
         self.owner.stats.publications.set(self.owner.stats.publications.get() + 1);
+        true
     }
 
     /// Fence-elided push: write the slot, advance the private bottom, and
     /// publish `bottom` only when a batch has accumulated or the public
     /// region is provably empty. No fence on any path; one release store
     /// per publication.
-    fn push_elided(&self, value: T, retain: isize, batch: isize) {
+    fn push_elided(&self, value: T, retain: isize, batch: isize) -> bool {
         let pb = self.owner.priv_bottom.get();
         let mut ct = self.owner.cached_top.get();
         let mut buf_ptr = self.inner.buffer.load(Ordering::Relaxed);
@@ -498,17 +505,18 @@ impl<T> Worker<T> {
             if exposed.wrapping_sub(published) > 0 {
                 exposed
             } else {
-                return;
+                return false;
             }
         } else if pb.wrapping_sub(published) >= retain.wrapping_add(batch.max(1)) {
             pb.wrapping_sub(retain)
         } else {
-            return;
+            return false;
         };
         // Release: thieves acquiring `bottom` see every slot write above.
         self.inner.bottom.store(target, Ordering::Release);
         self.owner.published.set(target);
         self.owner.stats.publications.set(self.owner.stats.publications.get() + 1);
+        true
     }
 
     /// Pops an element from the bottom of the deque (LIFO).
@@ -949,6 +957,26 @@ mod tests {
             stats.publications * 2 <= stats.pushes,
             "publication must be batched: {stats:?}"
         );
+    }
+
+    #[test]
+    fn push_reports_exactly_its_publications() {
+        // The bool an owner uses to decide whether thieves need waking:
+        // true precisely when `bottom` moved.
+        for p in protocols() {
+            let (w, s) = Worker::new_with(p);
+            let mut reported = 0;
+            for i in 0..100 {
+                let visible_before = s.len();
+                let published = w.push(i);
+                assert_eq!(published, s.len() > visible_before, "{p:?} push {i}");
+                reported += u64::from(published);
+                if i % 3 == 0 {
+                    let _ = w.pop();
+                }
+            }
+            assert_eq!(reported, w.owner_stats().publications, "{p:?}");
+        }
     }
 
     #[test]

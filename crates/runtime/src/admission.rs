@@ -718,9 +718,8 @@ impl Injector {
     /// Reserves an in-flight quota slot for `tenant`, or reports the quota
     /// it hit. The reservation is released by exactly one of
     /// [`note_completed`](Injector::note_completed),
-    /// [`note_cancelled`](Injector::note_cancelled),
-    /// [`release_reservation`](Injector::release_reservation) or
-    /// [`note_shed_reserved`](Injector::note_shed_reserved).
+    /// [`note_cancelled`](Injector::note_cancelled) or
+    /// [`release_reservation`](Injector::release_reservation).
     pub(crate) fn reserve(&self, tenant: TenantId) -> Result<(), Overloaded> {
         let quota = self.quota_of(tenant);
         let shard = self.shard_of(tenant);
@@ -812,15 +811,6 @@ impl Injector {
     /// panic is the caller's outcome.
     pub(crate) fn release_reservation(&self, tenant: TenantId) {
         self.with_tenant(tenant, |s| s.in_flight = s.in_flight.saturating_sub(1));
-    }
-
-    /// A reserved submission was shed (injected `Die` at the admission
-    /// boundary): releases the slot and counts the rejection.
-    pub(crate) fn note_shed_reserved(&self, tenant: TenantId) {
-        self.with_tenant(tenant, |s| {
-            s.rejected += 1;
-            s.in_flight = s.in_flight.saturating_sub(1);
-        });
     }
 
     /// Counts a rejection that never held a reservation (quota/capacity

@@ -43,7 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::admission::{Overloaded, Priority, RejectReason, SubmitError, TenantId};
+use crate::admission::{Priority, SubmitError, TenantId};
 use crate::job::{Job, JobRef, JobResult};
 use crate::latch::Probe;
 use crate::poison;
@@ -260,26 +260,15 @@ impl<R: Send + 'static> JobHandle<R> {
                 (*wt).wait_until(&*self.shared);
             }
         }
-        loop {
-            let mut state = poison::recover(self.shared.state.lock());
-            match &*state {
-                HandleState::Done(_) => {
-                    // The placeholder is never observed: this handle is
-                    // consumed and the job already finished.
-                    let done = std::mem::replace(&mut *state, HandleState::Cancelled);
-                    drop(state);
-                    let HandleState::Done(result) = done else { unreachable!() };
-                    return Some(result.into_return_value());
-                }
-                HandleState::Cancelled => return None,
-                HandleState::Queued | HandleState::Running => {
-                    let (guard, _) = poison::recover(
-                        self.shared.cvar.wait_timeout(state, WAIT_SLICE),
-                    );
-                    drop(guard);
-                }
-            }
-            self.rescue_if_degraded();
+        while !self.poll() && !self.wait_timeout(Duration::MAX) {}
+        // The placeholder is never observed: this handle is consumed.
+        let resolved = std::mem::replace(
+            &mut *poison::recover(self.shared.state.lock()),
+            HandleState::Cancelled,
+        );
+        match resolved {
+            HandleState::Done(result) => Some(result.into_return_value()),
+            _ => None,
         }
     }
 
@@ -371,23 +360,10 @@ impl Registry {
             return Err(over.into());
         }
         if self.degraded_serial() {
-            // A dead pool sheds new submissions instead of queueing them
-            // behind workers that will never come back.
-            self.injector.note_rejected(tenant);
-            self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
-            self.note_breaker_rejection(tenant);
-            return Err(SubmitError::Overloaded(Overloaded {
-                tenant,
-                queued: self.injector.depth(),
-                capacity: 0,
-                reason: RejectReason::Shed,
-                retry_after: None,
-            }));
+            return Err(self.shed(tenant));
         }
         if let Err(over) = self.injector.reserve(tenant) {
-            self.injector.note_rejected(tenant);
-            self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
-            self.note_breaker_rejection(tenant);
+            self.reject(tenant);
             return Err(over.into());
         }
         // Panic unwinds with the reservation released; Die sheds
@@ -406,11 +382,7 @@ impl Registry {
         let job = unsafe { JobRef::new(raw) };
         match self.injector.enqueue(tenant, priority, job) {
             Ok((shard, depth)) => {
-                self.injector.breaker_outcome(tenant, true);
-                self.probe(ProbeEvent::JobAdmitted { tenant: tenant.0 });
-                self.probe(ProbeEvent::Inject);
-                self.probe(ProbeEvent::QueueDepth { shard, depth });
-                self.wake_all();
+                self.admitted(tenant, shard, depth);
                 Ok(JobHandle { shared, registry: Arc::clone(self), tenant, job })
             }
             Err(over) => {
@@ -418,9 +390,7 @@ impl Registry {
                 // box is reclaimed directly (not via the execute path).
                 unsafe { drop(Box::from_raw(raw)) };
                 self.injector.release_reservation(tenant);
-                self.injector.note_rejected(tenant);
-                self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
-                self.note_breaker_rejection(tenant);
+                self.reject(tenant);
                 Err(over.into())
             }
         }

@@ -87,36 +87,16 @@ impl LockLatch {
     // Poison recovery throughout: the latch guards a single `bool`, which
     // is always consistent between operations — see `crate::poison`.
     pub(crate) fn wait(&self) {
-        let mut guard = poison::recover(self.mutex.lock());
-        while !*guard {
-            guard = poison::recover(self.cond.wait(guard));
-        }
+        let guard = poison::recover(self.mutex.lock());
+        drop(poison::recover(self.cond.wait_while(guard, |set| !*set)));
     }
 
     /// Blocks until the latch is set or `timeout` elapses; returns whether
     /// the latch was set. Backs the pool's stall detection
     /// ([`crate::Config::stall_timeout`]).
-    pub(crate) fn wait_timeout(&self, timeout: Duration) -> bool {
-        let mut guard = poison::recover(self.mutex.lock());
-        let mut remaining = timeout;
-        loop {
-            if *guard {
-                return true;
-            }
-            if remaining.is_zero() {
-                return false;
-            }
-            let start = std::time::Instant::now();
-            let (g, result) = match self.cond.wait_timeout(guard, remaining) {
-                Ok(pair) => pair,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            guard = g;
-            if result.timed_out() && !*guard {
-                return false;
-            }
-            remaining = remaining.saturating_sub(start.elapsed());
-        }
+    pub(crate) fn wait_for(&self, timeout: Duration) -> bool {
+        let guard = poison::recover(self.mutex.lock());
+        *poison::recover(self.cond.wait_timeout_while(guard, timeout, |set| !*set)).0
     }
 }
 
@@ -207,13 +187,13 @@ mod tests {
     #[test]
     fn lock_latch_wait_timeout_expires_then_succeeds() {
         let l = Arc::new(LockLatch::new());
-        assert!(!l.wait_timeout(Duration::from_millis(5)), "unset latch times out");
+        assert!(!l.wait_for(Duration::from_millis(5)), "unset latch times out");
         let l2 = Arc::clone(&l);
         let t = thread::spawn(move || {
             thread::sleep(Duration::from_millis(10));
             unsafe { Latch::set(&*l2 as *const LockLatch) };
         });
-        assert!(l.wait_timeout(Duration::from_secs(30)), "set latch is observed");
+        assert!(l.wait_for(Duration::from_secs(30)), "set latch is observed");
         t.join().expect("setter panicked");
     }
 

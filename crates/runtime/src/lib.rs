@@ -39,6 +39,7 @@ mod admission;
 mod config;
 pub mod fault;
 mod handle;
+pub mod idle;
 mod job;
 mod join;
 mod latch;

@@ -187,6 +187,15 @@ counter_table! {
     count jobs_cancelled: ProbeEvent::JobCancelled { .. } => 1;
     /// Circuit-breaker trips (closed → open transitions).
     count breakers_tripped: ProbeEvent::BreakerTripped { .. } => 1;
+    /// Times a worker ran out of work and started searching.
+    count searches: ProbeEvent::WorkerSearch { .. } => 1;
+    /// Times a worker blocked on its parker after a fruitless search.
+    count parks: ProbeEvent::WorkerPark { .. } => 1;
+    /// Wake tokens handed to parked workers, counted by the waker.
+    count unparks: ProbeEvent::WorkerUnpark { .. } => 1;
+    /// Woken workers that parked again without having found work (a
+    /// subset of `parks`).
+    count wakes_empty: ProbeEvent::WorkerPark { empty_wake: true, .. } => 1;
 }
 
 // Layout guard: a block starts on its own 128-byte unit and fills whole
@@ -268,6 +277,10 @@ mod tests {
         record(&ProbeEvent::BreakerTripped { tenant: 4 });
         record(&ProbeEvent::QueueDepth { shard: 0, depth: 9 });
         record(&ProbeEvent::QueueDepth { shard: 1, depth: 2 });
+        record(&ProbeEvent::WorkerSearch { worker: 0 });
+        record(&ProbeEvent::WorkerPark { worker: 0, empty_wake: false });
+        record(&ProbeEvent::WorkerUnpark { worker: 0, by: 1 });
+        record(&ProbeEvent::WorkerPark { worker: 0, empty_wake: true });
         // Lifecycle/structure events that map to no counter must be inert.
         record(&ProbeEvent::WorkerStart { worker: 0 });
         record(&ProbeEvent::Sync { strand: 1, depth: 0 });
@@ -310,6 +323,10 @@ mod tests {
             jobs_aged: 2,
             jobs_cancelled: 1,
             breakers_tripped: 1,
+            searches: 1,
+            parks: 2,
+            unparks: 1,
+            wakes_empty: 1,
         };
         assert_eq!(s, expected);
         assert!((s.steal_ratio() - 0.5).abs() < 1e-12);

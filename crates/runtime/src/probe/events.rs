@@ -48,7 +48,8 @@ impl EventMask {
     pub const FAULT: EventMask = EventMask(1 << 5);
     /// Worker lifecycle and supervision: `WorkerStart`, `WorkerDied`,
     /// `WorkerTerminate`, `DequeReclaimed`, `WorkerRespawned`,
-    /// `PoolDegraded`.
+    /// `PoolDegraded`, and the idle transitions `WorkerSearch`,
+    /// `WorkerPark`, `WorkerUnpark`.
     pub const WORKER: EventMask = EventMask(1 << 6);
     /// Every group.
     pub const ALL: EventMask = EventMask(0x7f);
@@ -333,6 +334,30 @@ pub enum ProbeEvent {
         /// The dead worker's index.
         worker: usize,
     },
+    /// A worker ran out of work and began searching (scanning for visible
+    /// work before it parks).
+    WorkerSearch {
+        /// The searching worker's index.
+        worker: usize,
+    },
+    /// A worker found nothing, registered as parked, re-scanned, and is
+    /// about to block on its parker (no timeout).
+    WorkerPark {
+        /// The parking worker's index.
+        worker: usize,
+        /// Whether its previous wake-up found no work either.
+        empty_wake: bool,
+    },
+    /// A wake token was handed to a parked worker: work became visible
+    /// while nobody was searching, a searcher found work and saw more, or
+    /// the pool is waking everyone (termination, a respawn).
+    WorkerUnpark {
+        /// The worker being woken.
+        worker: usize,
+        /// Index of the waking worker; no worker index (`usize::MAX - 7`)
+        /// when the waker is not a pool worker.
+        by: usize,
+    },
     /// A worker exited its scheduling loop at pool termination.
     WorkerTerminate {
         /// The exiting worker's index.
@@ -396,6 +421,9 @@ impl ProbeEvent {
             ProbeEvent::WorkerStart { .. }
             | ProbeEvent::WorkerDied { .. }
             | ProbeEvent::WorkerTerminate { .. }
+            | ProbeEvent::WorkerSearch { .. }
+            | ProbeEvent::WorkerPark { .. }
+            | ProbeEvent::WorkerUnpark { .. }
             | ProbeEvent::DequeReclaimed { .. }
             | ProbeEvent::WorkerRespawned { .. }
             | ProbeEvent::PoolDegraded { .. } => EventMask::WORKER,
@@ -456,6 +484,9 @@ mod tests {
             ProbeEvent::WorkerStart { worker: 0 },
             ProbeEvent::WorkerDied { worker: 0 },
             ProbeEvent::WorkerTerminate { worker: 0 },
+            ProbeEvent::WorkerSearch { worker: 0 },
+            ProbeEvent::WorkerPark { worker: 0, empty_wake: false },
+            ProbeEvent::WorkerUnpark { worker: 0, by: 1 },
             ProbeEvent::DequeReclaimed { worker: 0, jobs: 2 },
             ProbeEvent::WorkerRespawned { worker: 0 },
             ProbeEvent::PoolDegraded { live: 1 },

@@ -1,16 +1,17 @@
-//! The registry: worker threads, their deques, stealing, and sleeping.
+//! The registry: worker threads, their deques, stealing, and injection.
 //!
 //! This is the scheduler of §3.2 of the paper: each worker owns a deque
 //! used as a stack ("the worker operating on the bottom and thieves
 //! stealing from the top"); a worker that runs out of work becomes a thief
 //! and steals the top frame from a randomly chosen victim. All
 //! communication and synchronization is incurred only when a worker runs
-//! out of work.
+//! out of work — including the wake-ups: how an idle worker searches,
+//! parks and is woken is the protocol of [`crate::idle`].
 
 use std::cell::Cell;
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -19,12 +20,12 @@ use cilk_deque::{Protocol, Steal, Stealer, Worker};
 use crate::admission::{Injector, Overloaded, Priority, RejectReason, SubmitError, TenantId};
 use crate::config::{BuildPoolError, Config, RuntimeStalled};
 use crate::fault::{self, FaultAction, FaultHandler, FaultSite};
+use crate::idle::{Idle, IdleEnv, Parker};
 use crate::job::{JobRef, StackJob};
 use crate::latch::{LockLatch, Probe};
 use crate::latch::Latch;
 use crate::lifecycle::{self, RetireEnv};
 use crate::metrics::{CounterBlock, MetricsSnapshot};
-use crate::poison;
 use crate::probe::{self, ProbeEvent};
 use crate::supervisor::{self, Supervision};
 use crate::unwind;
@@ -46,14 +47,18 @@ struct ThreadInfo {
     /// continuation whose working set this worker just touched, so its
     /// deque is the likeliest home of cache-warm related work.
     last_thief: AtomicUsize,
+    /// Where this slot's worker blocks when the idle protocol parks it.
+    parker: Parker,
 }
 
-/// Condvar-based sleep state for idle workers.
-struct Sleep {
-    mutex: Mutex<()>,
-    cvar: Condvar,
-    sleepers: AtomicUsize,
-}
+/// Rounds of an idle worker's search before it parks — a scan per round,
+/// `spin_loop` hints between the first, a `yield_now` between the last; a
+/// few microseconds in all. A long search (200 + 16) is a measured dead
+/// end: the searcher holds the processor the woken client needs.
+const SEARCH_SPINS: u32 = 16;
+const SEARCH_YIELDS: u32 = 2;
+// A woken worker looks for the work it was woken for in its first round.
+const _: () = assert!(SEARCH_SPINS + SEARCH_YIELDS > 0);
 
 /// Shared state of one thread pool.
 pub(crate) struct Registry {
@@ -61,7 +66,8 @@ pub(crate) struct Registry {
     /// Sharded bounded injection queues (one unbounded shard on pools
     /// built without [`Config::admission`]). See `crate::admission`.
     pub(crate) injector: Injector,
-    sleep: Sleep,
+    /// Who is parked and who is searching (see [`crate::idle`]).
+    idle: Idle,
     terminate: AtomicBool,
     /// One counter block per worker slot, written only by the thread that
     /// currently owns the slot (see [`WorkerThread::probe`]).
@@ -103,17 +109,14 @@ impl Registry {
             infos.push(ThreadInfo {
                 stealer: deque.stealer(),
                 last_thief: AtomicUsize::new(NO_AFFINITY),
+                parker: Parker::default(),
             });
             deques.push(deque.into_worker_with(Protocol::fence_elided()));
         }
         let registry = Arc::new(Registry {
             thread_infos: infos,
             injector: Injector::new(config.admission.as_ref()),
-            sleep: Sleep {
-                mutex: Mutex::new(()),
-                cvar: Condvar::new(),
-                sleepers: AtomicUsize::new(0),
-            },
+            idle: Idle::new(n),
             terminate: AtomicBool::new(false),
             worker_counters: (0..n).map(|_| CounterBlock::default()).collect(),
             off_pool_counters: CounterBlock::default(),
@@ -162,20 +165,7 @@ impl Registry {
         thread::Builder::new()
             .name(name)
             .stack_size(self.stack_size)
-            .spawn(move || {
-                let rng_state = registry.worker_rng_state(index as u64 + 1);
-                let last_victim = registry.nearest_neighbor(index);
-                let worker = WorkerThread {
-                    deque,
-                    index,
-                    registry,
-                    rng_state: Cell::new(rng_state),
-                    last_victim: Cell::new(last_victim),
-                    depth: Cell::new(0),
-                    pending_death: Cell::new(false),
-                };
-                worker.main_loop();
-            })
+            .spawn(move || WorkerThread::new(registry, index, deque, index as u64 + 1).main_loop())
             .map_err(|source| BuildPoolError { source })
     }
 
@@ -289,6 +279,20 @@ impl Registry {
         probe::emit(&event);
     }
 
+    /// Reports one event on behalf of worker slot `who`: to that slot's own
+    /// block with plain stores — so `who` must be the calling worker's own
+    /// index — or to the shared block when `who` is no slot: an off-pool
+    /// thread, or the emergency serial worker (several may exist at once
+    /// under the same sentinel index).
+    #[inline(always)]
+    fn probe_as(&self, who: usize, event: ProbeEvent) {
+        match self.worker_counters.get(who) {
+            Some(own) => own.record_owned(&event),
+            None => self.off_pool_counters.record_shared(&event),
+        }
+        probe::emit(&event);
+    }
+
     /// Queues a job from outside the pool and wakes a worker. Capacity-
     /// exempt legacy path (`install` has no rejection channel); `submit`
     /// goes through [`Registry::submit_checked`] instead.
@@ -296,7 +300,7 @@ impl Registry {
         let (shard, depth) = self.injector.push_untenanted(job);
         self.probe(ProbeEvent::Inject);
         self.probe(ProbeEvent::QueueDepth { shard, depth });
-        self.wake_all();
+        self.notify_work(INJECTED_OWNER);
     }
 
     /// Requeues jobs reclaimed from a dead worker's deque, batched under a
@@ -315,29 +319,37 @@ impl Registry {
             self.probe(ProbeEvent::InjectorBatch { jobs: n });
         }
         self.probe(ProbeEvent::QueueDepth { shard, depth });
-        self.wake_all();
+        self.notify_work(INJECTED_OWNER);
     }
 
-    /// Removes a not-yet-claimed injected job; `true` if it was still
-    /// queued. Used by stall recovery: a removed job will never execute,
-    /// so its stack frame can be safely abandoned by the injector.
-    fn cancel_injected(&self, job: JobRef) -> bool {
-        self.injector.cancel(job)
+    /// What an idle worker scans before it parks: anything queued in the
+    /// injector, anything published in a deque, or termination.
+    fn work_visible(&self) -> bool {
+        self.injector.depth() > 0
+            || self.thread_infos.iter().any(|info| !info.stealer.is_empty())
+            || self.should_terminate()
     }
 
-    /// Wakes sleeping workers if there might be any.
+    /// Tells the idle protocol that work just became *visible* — an
+    /// injector enqueue or a deque publication, never a push that stayed in
+    /// its owner's private window. Wakes at most one parked worker, and
+    /// none while another is searching. `by` is the calling worker's index,
+    /// or [`INJECTED_OWNER`] off-pool.
+    #[inline]
+    pub(crate) fn notify_work(&self, by: usize) {
+        self.idle.notify_work(&RegistryIdle { registry: self, who: by, empty_wake: false });
+    }
+
+    /// Wakes every parked worker: termination, and a respawned slot (the
+    /// victim set just changed). The only wake-everyone callers.
     pub(crate) fn wake_all(&self) {
-        if self.sleep.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = poison::recover(self.sleep.mutex.lock());
-            self.sleep.cvar.notify_all();
-        }
+        self.idle.wake_all(&RegistryIdle { registry: self, who: INJECTED_OWNER, empty_wake: false });
     }
 
     /// Signals workers to exit once their work is drained.
     pub(crate) fn terminate(&self) {
         self.terminate.store(true, Ordering::SeqCst);
-        let _guard = poison::recover(self.sleep.mutex.lock());
-        self.sleep.cvar.notify_all();
+        self.wake_all();
     }
 
     /// Runs `op` on a worker of this pool: directly if the current thread
@@ -367,103 +379,123 @@ impl Registry {
         OP: FnOnce(&WorkerThread) -> R + Send,
         R: Send,
     {
-        unsafe {
-            let current = WorkerThread::current();
-            // On a service pool (admission policy installed) the legacy
-            // entry points bill the default tenant: admitted
-            // unconditionally — `install`/`scope` predate the admission
-            // layer and have no error channel — but fully accounted, so
-            // `admitted == completed + cancelled` covers every job the
-            // pool ever ran. Unpoliced pools skip all of this.
-            let billed = self.injector.has_policy();
-            if billed {
-                self.injector.note_legacy_admitted(TenantId::DEFAULT);
-                self.probe(ProbeEvent::JobAdmitted { tenant: TenantId::DEFAULT.0 });
-            }
-            if !current.is_null() {
-                // Already on a worker thread (of this or another pool);
-                // run in place. Cross-pool installs execute on the calling
-                // pool, which preserves the paper's composability property.
-                if billed {
-                    let _complete = InlineComplete { registry: self, tenant: TenantId::DEFAULT };
-                    return Ok(op(&*current));
-                }
-                return Ok(op(&*current));
-            }
-            if self.degraded_serial() {
-                if billed {
-                    let _complete = InlineComplete { registry: self, tenant: TenantId::DEFAULT };
-                    return Ok(self.run_in_place(op));
-                }
+        // On a service pool (admission policy installed) the legacy entry
+        // points bill the default tenant: admitted unconditionally —
+        // `install`/`scope` predate the admission layer and have no error
+        // channel — but fully accounted, so `admitted == completed +
+        // cancelled` covers every job the pool ever ran. Unpoliced pools
+        // skip all of this.
+        let billed = self.injector.has_policy().then_some(TenantId::DEFAULT);
+        if let Some(tenant) = billed {
+            self.injector.note_legacy_admitted(tenant);
+            self.probe(ProbeEvent::JobAdmitted { tenant: tenant.0 });
+        }
+        let current = WorkerThread::current();
+        if !current.is_null() || self.degraded_serial() {
+            let _complete = billed.map(|tenant| InlineComplete { registry: self, tenant });
+            if current.is_null() {
                 return Ok(self.run_in_place(op));
             }
-            let latch = LockLatch::new();
-            // The op lives in a slot the injected job empties on execution.
-            // If the pool dies before claiming the job, the slot still
-            // holds the op and the caller can run it serially in place.
-            let mut op_slot = Some(op);
-            let op_ptr = SendPtr(&mut op_slot as *mut Option<OP>);
-            let job = StackJob::new(
-                INJECTED_OWNER,
-                move |_migrated| {
-                    let op_ptr = op_ptr;
-                    let wt = WorkerThread::current();
-                    debug_assert!(!wt.is_null(), "injected job must run on a worker");
-                    // SAFETY: the slot outlives the job (the caller waits
-                    // on the latch), and exactly one of {job execution,
-                    // post-cancel fallback} takes from it.
+            // Already on a worker thread (of this or another pool); run in
+            // place. Cross-pool installs execute on the calling pool, which
+            // preserves the paper's composability property.
+            // SAFETY: a non-null `current()` is this thread's live worker.
+            return Ok(op(unsafe { &*current }));
+        }
+        self.run_injected(billed, op, |job| {
+            self.inject(job);
+            Ok(())
+        })
+    }
+
+    /// Runs `op` on a worker by way of the injector and blocks until it has
+    /// run: `enqueue` places the job or refuses it, then the caller waits —
+    /// forever on a plain pool, in bounded steps when a stall timeout or
+    /// supervision may have to rescue the job. `tenant`, if any, is billed
+    /// the completion or the cancellation.
+    fn run_injected<OP, R, E>(
+        self: &Arc<Self>,
+        tenant: Option<TenantId>,
+        op: OP,
+        enqueue: impl FnOnce(JobRef) -> Result<(), E>,
+    ) -> Result<R, E>
+    where
+        OP: FnOnce(&WorkerThread) -> R + Send,
+        R: Send,
+        E: From<RuntimeStalled>,
+    {
+        let latch = LockLatch::new();
+        // The op lives in a slot the injected job empties on execution.
+        // If the pool dies before claiming the job, the slot still holds
+        // the op and the caller can run it serially in place.
+        let mut op_slot = Some(op);
+        let op_ptr = SendPtr(&mut op_slot as *mut Option<OP>);
+        let job = StackJob::new(
+            INJECTED_OWNER,
+            move |_migrated| {
+                let op_ptr = op_ptr;
+                let wt = WorkerThread::current();
+                debug_assert!(!wt.is_null(), "injected job must run on a worker");
+                // SAFETY: the slot outlives the job (the caller waits on
+                // the latch), and exactly one of {job execution,
+                // post-cancel fallback} takes from it; jobs run on workers.
+                unsafe {
                     let op = (*op_ptr.0).take().expect("injected op taken twice");
                     op(&*wt)
-                },
-                LatchRef { latch: &latch },
-            );
-            let job_ref = job.as_job_ref();
-            self.inject(job_ref);
-            let step = match (self.stall_timeout, &self.supervision) {
-                (None, None) => None,
-                (Some(t), None) => Some(t),
-                (None, Some(sup)) => Some(sup.policy.wait_step()),
-                (Some(t), Some(sup)) => Some(t.min(sup.policy.wait_step())),
-            };
-            match step {
-                None => latch.wait(),
-                Some(step) => {
-                    let mut waited = Duration::ZERO;
-                    while !latch.wait_timeout(step) {
-                        waited += step;
-                        // A supervised pool that went fully dead with no
-                        // recovery in flight will never claim the job:
-                        // reclaim it from the queue and run it serially.
-                        // (A claimed job is already executing — wait on.)
-                        if self.degraded_serial() && self.cancel_injected(job_ref) {
-                            let op = op_slot.take().expect("cancelled job retains its op");
-                            if billed {
-                                self.injector.note_completed(TenantId::DEFAULT);
-                            }
-                            return Ok(self.run_in_place(op));
-                        }
-                        // Stall deadline passed. If the job is still
-                        // sitting in the queue no worker will ever claim
-                        // it (all dead or wedged): cancel it — making the
-                        // stack frame safe to abandon — and diagnose.
-                        if self.stall_timeout.is_some_and(|t| waited >= t)
-                            && self.cancel_injected(job_ref)
-                        {
-                            if billed {
-                                self.injector.note_cancelled(TenantId::DEFAULT);
-                            }
-                            return Err(self.stall_error(waited));
-                        }
+                }
+            },
+            LatchRef { latch: &latch },
+        );
+        // SAFETY: `job` stays on this frame until its latch is set or it
+        // has been cancelled out of the queue, and is executed at most once.
+        let job_ref = unsafe { job.as_job_ref() };
+        enqueue(job_ref)?;
+        let bill = |note: fn(&Injector, TenantId)| {
+            if let Some(tenant) = tenant {
+                note(&self.injector, tenant);
+            }
+        };
+        let step = match (self.stall_timeout, &self.supervision) {
+            (None, None) => None,
+            (Some(t), None) => Some(t),
+            (None, Some(sup)) => Some(sup.policy.wait_step()),
+            (Some(t), Some(sup)) => Some(t.min(sup.policy.wait_step())),
+        };
+        match step {
+            None => latch.wait(),
+            Some(step) => {
+                let mut waited = Duration::ZERO;
+                while !latch.wait_for(step) {
+                    waited += step;
+                    // A supervised pool that went fully dead with no
+                    // recovery in flight will never claim the job: reclaim
+                    // it from the queue and honor it serially in place —
+                    // completed, not cancelled. (A claimed job is already
+                    // executing — wait on; a removed one never will, so its
+                    // frame can be abandoned.)
+                    if self.degraded_serial() && self.injector.cancel(job_ref) {
+                        let op = op_slot.take().expect("cancelled job retains its op");
+                        bill(Injector::note_completed);
+                        return Ok(self.run_in_place(op));
+                    }
+                    // Stall deadline passed. If the job is still sitting in
+                    // the queue no worker will ever claim it (all dead or
+                    // wedged): cancel it — making the stack frame safe to
+                    // abandon — and diagnose.
+                    if self.stall_timeout.is_some_and(|t| waited >= t)
+                        && self.injector.cancel(job_ref)
+                    {
+                        bill(Injector::note_cancelled);
+                        return Err(self.stall_error(waited).into());
                     }
                 }
             }
-            if billed {
-                // Count completion before `into_result`: a captured panic
-                // resumes there, and the billed work did run to its end.
-                self.injector.note_completed(TenantId::DEFAULT);
-            }
-            Ok(job.into_result())
         }
+        // Count completion before `into_result`: a captured panic resumes
+        // there, and the billed work did run to its end.
+        bill(Injector::note_completed);
+        // SAFETY: the latch is set, so the job has run and stored its result.
+        Ok(unsafe { job.into_result() })
     }
 
     /// Serial in-place execution of an installed op: the last resort of a
@@ -479,15 +511,8 @@ impl Registry {
         R: Send,
     {
         self.probe(ProbeEvent::PoolDegraded { live: 0 });
-        let worker = WorkerThread {
-            deque: cilk_deque::Deque::new().into_worker(),
-            index: self.num_workers(),
-            registry: Arc::clone(self),
-            rng_state: Cell::new(self.worker_rng_state(0xE5CA_1A7E)),
-            last_victim: Cell::new(NO_AFFINITY),
-            depth: Cell::new(0),
-            pending_death: Cell::new(false),
-        };
+        let deque = cilk_deque::Deque::new().into_worker();
+        let worker = WorkerThread::new(Arc::clone(self), self.num_workers(), deque, 0xE5CA_1A7E);
         // Restore the previous TLS value even if `op` panics.
         struct TlsRestore(*const WorkerThread);
         impl Drop for TlsRestore {
@@ -541,171 +566,115 @@ impl Registry {
         OP: FnOnce(&WorkerThread) -> R + Send,
         R: Send,
     {
-        unsafe {
-            // An open circuit breaker fast-fails before any shard work:
-            // atomics only, no per-tenant stats (those live behind the
-            // shard lock the breaker exists to avoid).
-            if let Err(over) = self.injector.breaker_check(tenant) {
-                self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
+        // An open circuit breaker fast-fails before any shard work:
+        // atomics only, no per-tenant stats (those live behind the shard
+        // lock the breaker exists to avoid).
+        if let Err(over) = self.injector.breaker_check(tenant) {
+            self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
+            return Err(over.into());
+        }
+        let current = WorkerThread::current();
+        if !current.is_null() {
+            // Nested submit on a worker thread: runs inline (like
+            // `install`), but still holds an in-flight quota slot so a
+            // tenant's fair share covers its nested work too.
+            if let Err(over) = self.injector.reserve(tenant) {
+                self.reject(tenant);
                 return Err(over.into());
             }
-            let current = WorkerThread::current();
-            if !current.is_null() {
-                // Nested submit on a worker thread: runs inline (like
-                // `install`), but still holds an in-flight quota slot so a
-                // tenant's fair share covers its nested work too.
-                if let Err(over) = self.injector.reserve(tenant) {
-                    self.injector.note_rejected(tenant);
-                    self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
-                    self.note_breaker_rejection(tenant);
-                    return Err(over.into());
-                }
-                self.consult_inject_fault(tenant)?;
-                self.injector.note_admitted_inline(tenant);
-                self.injector.breaker_outcome(tenant, true);
-                self.probe(ProbeEvent::JobAdmitted { tenant: tenant.0 });
-                // Complete-on-drop: the quota slot is released even when
-                // `op` unwinds (the panic is the submitter's outcome; the
-                // admitted work still counts as completed).
-                let _complete = InlineComplete { registry: self, tenant };
-                return Ok(op(&*current));
-            }
-            if self.degraded_serial() {
-                // A dead pool sheds new submissions instead of queueing
-                // them behind workers that will never come back; work
-                // already admitted still drains via the serial fallback.
-                self.injector.note_rejected(tenant);
-                self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
-                self.note_breaker_rejection(tenant);
-                return Err(SubmitError::Overloaded(Overloaded {
-                    tenant,
-                    queued: self.injector.depth(),
-                    capacity: 0,
-                    reason: RejectReason::Shed,
-                    retry_after: None,
-                }));
-            }
-            let admit_start = Instant::now();
-            let mut fault_checked = false;
-            let latch = LockLatch::new();
-            // The op lives in a slot the injected job empties on execution
-            // — same protocol as `in_worker_checked`.
-            let mut op_slot = Some(op);
-            let op_ptr = SendPtr(&mut op_slot as *mut Option<OP>);
-            let job = StackJob::new(
-                INJECTED_OWNER,
-                move |_migrated| {
-                    let op_ptr = op_ptr;
-                    let wt = WorkerThread::current();
-                    debug_assert!(!wt.is_null(), "submitted job must run on a worker");
-                    // SAFETY: the slot outlives the job (the caller waits
-                    // on the latch), and exactly one of {job execution,
-                    // post-cancel fallback} takes from it.
-                    let op = (*op_ptr.0).take().expect("submitted op taken twice");
-                    op(&*wt)
-                },
-                LatchRef { latch: &latch },
-            );
-            let job_ref = job.as_job_ref();
-            // Admission: a quota reservation, the `Inject` fault point,
-            // then an enqueue under shard capacity. Non-blocking gets one
-            // attempt; the deadline variant retries both gates.
-            let (shard, depth) = loop {
-                let refusal = match self.injector.reserve(tenant) {
-                    Err(over) => over,
-                    Ok(()) => {
-                        if !fault_checked {
-                            fault_checked = true;
-                            // Panic unwinds with the reservation released;
-                            // Die sheds (reservation released, rejection
-                            // counted) and propagates here via `?`.
-                            self.consult_inject_fault(tenant)?;
-                        }
-                        match self.injector.enqueue(tenant, priority, job_ref) {
-                            Ok(placed) => break placed,
-                            Err(over) => {
-                                self.injector.release_reservation(tenant);
-                                over
-                            }
-                        }
-                    }
-                };
-                match admit_deadline {
-                    Some(deadline) if admit_start.elapsed() < deadline => {
-                        if self.degraded_serial() {
-                            self.injector.note_rejected(tenant);
-                            self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
-                            self.note_breaker_rejection(tenant);
-                            return Err(SubmitError::Overloaded(Overloaded {
-                                tenant,
-                                queued: self.injector.depth(),
-                                capacity: 0,
-                                reason: RejectReason::Shed,
-                                retry_after: None,
-                            }));
-                        }
-                        thread::sleep(Duration::from_micros(500));
-                    }
-                    Some(_) => {
-                        // Deadline exhausted waiting for admission: the
-                        // pool is not keeping up — the full stall
-                        // diagnosis says whether it is overloaded or dead.
-                        self.injector.note_rejected(tenant);
-                        self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
-                        self.note_breaker_rejection(tenant);
-                        return Err(SubmitError::Stalled(
-                            self.stall_error(admit_start.elapsed()),
-                        ));
-                    }
-                    None => {
-                        self.injector.note_rejected(tenant);
-                        self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
-                        self.note_breaker_rejection(tenant);
-                        return Err(refusal.into());
-                    }
-                }
-            };
+            self.consult_inject_fault(tenant)?;
+            self.injector.note_admitted_inline(tenant);
             self.injector.breaker_outcome(tenant, true);
             self.probe(ProbeEvent::JobAdmitted { tenant: tenant.0 });
-            self.probe(ProbeEvent::Inject);
-            self.probe(ProbeEvent::QueueDepth { shard, depth });
-            self.wake_all();
-            let step = match (self.stall_timeout, &self.supervision) {
-                (None, None) => None,
-                (Some(t), None) => Some(t),
-                (None, Some(sup)) => Some(sup.policy.wait_step()),
-                (Some(t), Some(sup)) => Some(t.min(sup.policy.wait_step())),
-            };
-            match step {
-                None => latch.wait(),
-                Some(step) => {
-                    let mut waited = Duration::ZERO;
-                    while !latch.wait_timeout(step) {
-                        waited += step;
-                        // Fully dead pool, admitted job still queued:
-                        // honor the admission by running it serially in
-                        // place (completed, not cancelled).
-                        if self.degraded_serial() && self.cancel_injected(job_ref) {
-                            let op = op_slot.take().expect("cancelled job retains its op");
-                            self.injector.note_completed(tenant);
-                            return Ok(self.run_in_place(op));
+            // Complete-on-drop: the quota slot is released even when `op`
+            // unwinds (the panic is the submitter's outcome; the admitted
+            // work still counts as completed).
+            let _complete = InlineComplete { registry: self, tenant };
+            // SAFETY: a non-null `current()` is this thread's live worker.
+            return Ok(op(unsafe { &*current }));
+        }
+        if self.degraded_serial() {
+            return Err(self.shed(tenant));
+        }
+        let admit_start = Instant::now();
+        let mut fault_checked = false;
+        // Admission: a quota reservation, the `Inject` fault point, then an
+        // enqueue under shard capacity. Non-blocking gets one attempt; the
+        // deadline variant retries both gates.
+        self.run_injected(Some(tenant), op, |job| loop {
+            let refusal = match self.injector.reserve(tenant) {
+                Err(over) => over,
+                Ok(()) => {
+                    if !std::mem::replace(&mut fault_checked, true) {
+                        // Panic unwinds with the reservation released; Die
+                        // sheds (reservation released, rejection counted)
+                        // and propagates here via `?`.
+                        self.consult_inject_fault(tenant)?;
+                    }
+                    match self.injector.enqueue(tenant, priority, job) {
+                        Ok((shard, depth)) => {
+                            self.admitted(tenant, shard, depth);
+                            return Ok(());
                         }
-                        // Stall deadline passed with the job unclaimed:
-                        // cancel it (frame safe to abandon) and diagnose.
-                        if self.stall_timeout.is_some_and(|t| waited >= t)
-                            && self.cancel_injected(job_ref)
-                        {
-                            self.injector.note_cancelled(tenant);
-                            return Err(SubmitError::Stalled(self.stall_error(waited)));
+                        Err(over) => {
+                            self.injector.release_reservation(tenant);
+                            over
                         }
                     }
                 }
+            };
+            match admit_deadline {
+                Some(deadline) if admit_start.elapsed() < deadline => {
+                    if self.degraded_serial() {
+                        return Err(self.shed(tenant));
+                    }
+                    thread::sleep(Duration::from_micros(500));
+                }
+                // Deadline exhausted waiting for admission: the pool is not
+                // keeping up — the full stall diagnosis says whether it is
+                // overloaded or dead.
+                Some(_) => {
+                    self.reject(tenant);
+                    return Err(self.stall_error(admit_start.elapsed()).into());
+                }
+                None => {
+                    self.reject(tenant);
+                    return Err(refusal.into());
+                }
             }
-            // Count completion before `into_result`: a captured panic
-            // resumes there, and the admitted work did run to its end.
-            self.injector.note_completed(tenant);
-            Ok(job.into_result())
-        }
+        })
+    }
+
+    /// A job passed admission and sits in shard `shard`: settles the
+    /// breaker, counts it, and tells the idle protocol.
+    pub(crate) fn admitted(&self, tenant: TenantId, shard: usize, depth: usize) {
+        self.injector.breaker_outcome(tenant, true);
+        self.probe(ProbeEvent::JobAdmitted { tenant: tenant.0 });
+        self.probe(ProbeEvent::Inject);
+        self.probe(ProbeEvent::QueueDepth { shard, depth });
+        self.notify_work(INJECTED_OWNER);
+    }
+
+    /// Counts a refusal that holds no reservation: with the tenant, the
+    /// pool's counters, and the tenant's circuit breaker.
+    pub(crate) fn reject(&self, tenant: TenantId) {
+        self.injector.note_rejected(tenant);
+        self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
+        self.note_breaker_rejection(tenant);
+    }
+
+    /// Refuses a submission because the pool is dead: it sheds new work
+    /// instead of queueing it behind workers that will never come back
+    /// (work already admitted still drains via the serial fallback).
+    pub(crate) fn shed(&self, tenant: TenantId) -> SubmitError {
+        self.reject(tenant);
+        SubmitError::Overloaded(Overloaded {
+            tenant,
+            queued: self.injector.depth(),
+            capacity: 0,
+            reason: RejectReason::Shed,
+            retry_after: None,
+        })
     }
 
     /// Consults the pool's fault handler at the [`FaultSite::Inject`]
@@ -744,16 +713,8 @@ impl Registry {
                 });
             }
             FaultAction::Die => {
-                self.injector.note_shed_reserved(tenant);
-                self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
-                self.note_breaker_rejection(tenant);
-                Err(SubmitError::Overloaded(Overloaded {
-                    tenant,
-                    queued: self.injector.depth(),
-                    capacity: 0,
-                    reason: RejectReason::Shed,
-                    retry_after: None,
-                }))
+                self.injector.release_reservation(tenant);
+                Err(self.shed(tenant))
             }
         }
     }
@@ -811,39 +772,30 @@ thread_local! {
     static WORKER_THREAD: Cell<*const WorkerThread> = const { Cell::new(ptr::null()) };
 }
 
+/// Runs `f` on the current thread's worker context, if it has one.
+fn on_worker<R>(f: impl FnOnce(&WorkerThread) -> R) -> Option<R> {
+    let ptr = WorkerThread::current();
+    // SAFETY: the pointer is set for the lifetime of `main_loop` (or of
+    // `run_in_place`) and only read from its own thread.
+    (!ptr.is_null()).then(|| f(unsafe { &*ptr }))
+}
+
 /// Bumps the current pool's `panics_captured` counter. Called at every
 /// site that captures a [`crate::unwind::PanicPayload`] for propagation;
 /// counts capture *events* (a panic crossing several nested joins is
 /// captured once per frame). No-op off-pool (e.g. under serial capture).
 pub(crate) fn note_panic_captured() {
-    let ptr = WorkerThread::current();
-    if !ptr.is_null() {
-        // SAFETY: the pointer is set for the lifetime of `main_loop` and
-        // only read from its own thread.
-        let wt = unsafe { &*ptr };
-        wt.probe(ProbeEvent::PanicCaptured { worker: wt.index() });
-    }
+    on_worker(|wt| wt.probe(ProbeEvent::PanicCaptured { worker: wt.index() }));
 }
 
 /// Bumps the current pool's `tasks_cancelled` counter. No-op off-pool.
 pub(crate) fn note_task_cancelled() {
-    let ptr = WorkerThread::current();
-    if !ptr.is_null() {
-        // SAFETY: as in `note_panic_captured`.
-        let wt = unsafe { &*ptr };
-        wt.probe(ProbeEvent::TaskCancelled { worker: wt.index() });
-    }
+    on_worker(|wt| wt.probe(ProbeEvent::TaskCancelled { worker: wt.index() }));
 }
 
 /// Returns the index of the current worker thread, if any.
 pub(crate) fn current_worker_index() -> Option<usize> {
-    let ptr = WorkerThread::current();
-    if ptr.is_null() {
-        None
-    } else {
-        // SAFETY: the pointer is set for the lifetime of `main_loop`.
-        Some(unsafe { (*ptr).index })
-    }
+    on_worker(WorkerThread::index)
 }
 
 /// State owned by a single worker thread. Lives on that thread's stack for
@@ -867,6 +819,21 @@ pub(crate) struct WorkerThread {
 }
 
 impl WorkerThread {
+    /// The context of the worker in slot `index` (one past the last slot
+    /// for the emergency serial worker, which so gets no affinity hint),
+    /// drawing victims from the pool's PRNG stream `rng_key`.
+    fn new(registry: Arc<Registry>, index: usize, deque: Worker<JobRef>, rng_key: u64) -> Self {
+        WorkerThread {
+            rng_state: Cell::new(registry.worker_rng_state(rng_key)),
+            last_victim: Cell::new(registry.nearest_neighbor(index)),
+            depth: Cell::new(0),
+            pending_death: Cell::new(false),
+            deque,
+            index,
+            registry,
+        }
+    }
+
     /// The current thread's worker pointer (null on non-pool threads).
     #[inline]
     pub(crate) fn current() -> *const WorkerThread {
@@ -904,20 +871,14 @@ impl WorkerThread {
     /// worker's own counter block with plain stores — it is the block's
     /// only writer, so the un-stolen `join` cycle writes no line another
     /// thread writes — and then to any registered global probe consumers
-    /// (one relaxed atomic load when there are none). The emergency serial
-    /// worker owns no slot (several may exist at once under the same
-    /// sentinel index) and reports to the pool's shared block.
+    /// (one relaxed atomic load when there are none).
     ///
     /// Always inlined: every caller passes a freshly built event, and only
     /// at the call site can the counter table fold down to that variant's
     /// one or two stores.
     #[inline(always)]
     pub(crate) fn probe(&self, event: ProbeEvent) {
-        match self.registry.worker_counters.get(self.index) {
-            Some(own) => own.record_owned(&event),
-            None => self.registry.off_pool_counters.record_shared(&event),
-        }
-        probe::emit(&event);
+        self.registry.probe_as(self.index, event);
     }
 
     /// Marks this worker for simulated death (see [`FaultAction::Die`]).
@@ -945,8 +906,9 @@ impl WorkerThread {
     /// The job may sit in the owner's
     /// private window until the next batch publication — the right
     /// behaviour for `join` continuations, which the owner usually pops
-    /// right back. Work that exists to be *taken* (scope tasks, handoff
-    /// surplus) should go through [`WorkerThread::push_published`].
+    /// right back — and a push that publishes nothing notifies nobody: no
+    /// thief could steal it. Work that exists to be *taken* (scope tasks,
+    /// handoff surplus) should go through [`WorkerThread::push_published`].
     ///
     /// `#[inline]` here, on [`WorkerThread::take_local_job`] and on
     /// [`WorkerThread::current`]: `join` is generic, so it is compiled into
@@ -954,9 +916,11 @@ impl WorkerThread {
     /// on every spawn.
     #[inline]
     pub(crate) fn push(&self, job: JobRef) {
-        self.deque.push(job);
+        let published = self.deque.push(job);
         self.probe(ProbeEvent::DequeLen { worker: self.index, len: self.deque.len() });
-        self.registry.wake_all();
+        if published {
+            self.registry.notify_work(self.index);
+        }
     }
 
     /// Pushes a stealable job and immediately publishes the owner's
@@ -966,7 +930,7 @@ impl WorkerThread {
         self.deque.push(job);
         self.deque.publish();
         self.probe(ProbeEvent::DequeLen { worker: self.index, len: self.deque.len() });
-        self.registry.wake_all();
+        self.registry.notify_work(self.index);
     }
 
     /// Pops the most recent local job, if any.
@@ -1031,21 +995,9 @@ impl WorkerThread {
             if victim >= n || victim == self.index {
                 continue;
             }
-            if let Some(sup) = self.registry.supervision() {
-                if !sup.is_alive(victim) {
-                    continue;
-                }
-            }
-            match self.registry.thread_infos[victim].stealer.steal() {
-                Steal::Success(job) => {
-                    self.note_theft(victim);
-                    self.probe(ProbeEvent::StealLocalAffinity { thief: self.index, victim });
-                    self.probe(ProbeEvent::StealSuccess { thief: self.index, victim });
-                    return Some(job);
-                }
-                Steal::Retry | Steal::Empty => {
-                    self.probe(ProbeEvent::StealFailed { thief: self.index });
-                }
+            if let Steal::Success(job) = self.steal_from(victim) {
+                self.probe(ProbeEvent::StealLocalAffinity { thief: self.index, victim });
+                return Some(job);
             }
         }
         // Affinity missed: fall back to the randomized ring scan over
@@ -1054,32 +1006,11 @@ impl WorkerThread {
         loop {
             let mut retry = false;
             let start = (self.next_random() as usize) % n;
-            for offset in 0..n {
-                let victim = (start + offset) % n;
-                if victim == self.index {
-                    continue;
-                }
-                // Degraded pools shrink the victim set to live workers. A
-                // dead slot is only marked dead *after* its deque has been
-                // drained into the injector, so skipping it strands nothing.
-                if let Some(sup) = self.registry.supervision() {
-                    if !sup.is_alive(victim) {
-                        continue;
-                    }
-                }
-                match self.registry.thread_infos[victim].stealer.steal() {
-                    Steal::Success(job) => {
-                        self.note_theft(victim);
-                        self.probe(ProbeEvent::StealSuccess { thief: self.index, victim });
-                        return Some(job);
-                    }
-                    Steal::Retry => {
-                        retry = true;
-                        self.probe(ProbeEvent::StealFailed { thief: self.index });
-                    }
-                    Steal::Empty => {
-                        self.probe(ProbeEvent::StealFailed { thief: self.index });
-                    }
+            for victim in (0..n).map(|offset| (start + offset) % n) {
+                match self.steal_from(victim) {
+                    Steal::Success(job) => return Some(job),
+                    Steal::Retry => retry = true,
+                    Steal::Empty => {}
                 }
             }
             if !retry {
@@ -1089,16 +1020,29 @@ impl WorkerThread {
         }
     }
 
-    /// Records a successful theft for the locality heuristics: the victim
-    /// becomes this thief's cached first guess for the next round, and the
-    /// victim learns who robbed it so it can steal back when it runs dry.
-    fn note_theft(&self, victim: usize) {
-        self.last_victim.set(victim);
-        if self.index < self.registry.num_workers() {
-            self.registry.thread_infos[victim]
-                .last_thief
-                .store(self.index, Ordering::Relaxed);
+    /// One counted steal attempt on `victim`. This worker itself and a dead
+    /// slot read as empty without an attempt: degraded pools shrink the
+    /// victim set to live workers, and a slot is only marked dead *after*
+    /// its deque has been drained into the injector, so skipping it strands
+    /// nothing. A theft updates the locality hints: the victim becomes this
+    /// thief's first guess for the next round, and learns who robbed it so
+    /// it can steal back when it runs dry.
+    fn steal_from(&self, victim: usize) -> Steal<JobRef> {
+        let registry = &*self.registry;
+        if victim == self.index || registry.supervision().is_some_and(|sup| !sup.is_alive(victim)) {
+            return Steal::Empty;
         }
+        let attempt = registry.thread_infos[victim].stealer.steal();
+        if let Steal::Success(_) = attempt {
+            self.last_victim.set(victim);
+            if self.index < registry.num_workers() {
+                registry.thread_infos[victim].last_thief.store(self.index, Ordering::Relaxed);
+            }
+            self.probe(ProbeEvent::StealSuccess { thief: self.index, victim });
+        } else {
+            self.probe(ProbeEvent::StealFailed { thief: self.index });
+        }
+        attempt
     }
 
     /// Finds work: local deque first, then stealing, then the injector.
@@ -1180,23 +1124,27 @@ impl WorkerThread {
                 died = true;
                 break;
             }
-            if let Some(job) = self.find_work() {
-                // A panic escaping the job boundary would otherwise tear
-                // down the thread with no accounting at all (jobs capture
-                // their own panics, so this is a raw `Job` impl or a
-                // runtime bug). Treat it as worker death: the supervisor
-                // reclaims the deque and can respawn the slot.
-                // SAFETY: jobs are executed exactly once.
-                if unwind::halt_unwinding(|| unsafe { self.execute(job) }).is_err() {
-                    died = true;
-                    break;
-                }
-                continue;
-            }
-            if self.registry.terminate.load(Ordering::SeqCst) {
+            let job = match self.find_work() {
+                Some(job) => job,
+                None if self.registry.should_terminate() => break,
+                // A steal-site fault marked this worker dead: to the top.
+                None if self.pending_death.get() => continue,
+                // `None` again sends it to the top, to die or to terminate.
+                None => match self.idle() {
+                    Some(job) => job,
+                    None => continue,
+                },
+            };
+            // A panic escaping the job boundary would otherwise tear down
+            // the thread with no accounting at all (jobs capture their own
+            // panics, so this is a raw `Job` impl or a runtime bug). Treat
+            // it as worker death: the supervisor reclaims the deque and can
+            // respawn the slot.
+            // SAFETY: jobs are executed exactly once.
+            if unwind::halt_unwinding(|| unsafe { self.execute(job) }).is_err() {
+                died = true;
                 break;
             }
-            self.sleep();
         }
         WORKER_THREAD.with(|cell| cell.set(ptr::null()));
         if died {
@@ -1215,28 +1163,64 @@ impl WorkerThread {
         lifecycle::retire_worker(deque, &mut RegistryRetire { registry: &registry, index });
     }
 
-    /// Parks this worker until new work might exist. A bounded timeout
-    /// guards against any lost-wakeup window.
-    fn sleep(&self) {
-        let sleep = &self.registry.sleep;
-        sleep.sleepers.fetch_add(1, Ordering::SeqCst);
-        {
-            let guard = poison::recover(sleep.mutex.lock());
-            // Re-check for work under the lock: any producer that published
-            // before we registered as a sleeper is visible now.
-            let have_work = self.registry.injector.depth() > 0
-                || self
-                    .registry
-                    .thread_infos
-                    .iter()
-                    .any(|info| !info.stealer.is_empty())
-                || self.registry.terminate.load(Ordering::SeqCst);
-            if !have_work {
-                // Poison is irrelevant — the guard drops immediately.
-                drop(sleep.cvar.wait_timeout(guard, Duration::from_millis(1)));
+    /// Out of work: searches briefly, then parks (no timeout) until a
+    /// publication or termination hands this worker a token, and searches
+    /// again — see [`crate::idle`]. A scan costs loads only and a steal is
+    /// attempted only once one saw something, so an idle pool counts
+    /// nothing. `None`: the pool is terminating, or a steal-site fault
+    /// marked this worker dead.
+    fn idle(&self) -> Option<JobRef> {
+        let registry = &*self.registry;
+        let mut env = RegistryIdle { registry, who: self.index, empty_wake: false };
+        self.probe(ProbeEvent::WorkerSearch { worker: self.index });
+        registry.idle.start_search();
+        loop {
+            for round in 0..SEARCH_SPINS + SEARCH_YIELDS {
+                if registry.work_visible() {
+                    let job = self.find_work();
+                    if job.is_some() || registry.should_terminate() || self.pending_death.get() {
+                        registry.idle.end_search(&env);
+                        return job;
+                    }
+                }
+                if round < SEARCH_SPINS {
+                    (0..8).for_each(|_| std::hint::spin_loop());
+                } else {
+                    thread::yield_now();
+                }
             }
+            env.empty_wake = registry.idle.park(self.index, &env);
         }
-        sleep.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// [`IdleEnv`] over the registry, for worker slot `who` — or for an
+/// off-pool thread, which only ever wakes, when `who` is no slot.
+struct RegistryIdle<'a> {
+    registry: &'a Registry,
+    who: usize,
+    /// Whether `who`'s last park ended with a token and no work since.
+    empty_wake: bool,
+}
+
+impl IdleEnv for RegistryIdle<'_> {
+    fn work_visible(&self) -> bool {
+        self.registry.work_visible()
+    }
+
+    fn block(&self, slot: usize) {
+        debug_assert_eq!(slot, self.who, "a worker parks only itself");
+        let event = ProbeEvent::WorkerPark { worker: slot, empty_wake: self.empty_wake };
+        self.registry.probe_as(slot, event);
+        if let Some(sup) = self.registry.supervision() {
+            sup.beat(slot, supervisor::BeatSite::Parked);
+        }
+        self.registry.thread_infos[slot].parker.park();
+    }
+
+    fn unblock(&self, slot: usize) {
+        self.registry.probe_as(self.who, ProbeEvent::WorkerUnpark { worker: slot, by: self.who });
+        self.registry.thread_infos[slot].parker.unpark();
     }
 }
 

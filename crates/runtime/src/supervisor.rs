@@ -161,42 +161,37 @@ pub enum BeatSite {
     JoinEntry,
     /// A `Scope::spawn` pushed a task.
     ScopeSpawn,
+    /// About to block on the slot's parker: idle, and silent until a
+    /// producer wakes it — the one beat site a healthy worker may rest at.
+    Parked,
 }
 
 impl BeatSite {
-    /// Stable wire encoding for the per-slot `AtomicU8` (0 is "never
-    /// beat"); `decode` is its inverse.
+    /// Every site with its display name, in wire order: a site's encoding
+    /// in the per-slot `AtomicU8` is its position here plus one (0 is
+    /// "never beat").
+    const ALL: [(BeatSite, &'static str); 6] = [
+        (BeatSite::MainLoop, "main-loop"),
+        (BeatSite::StealRound, "steal-round"),
+        (BeatSite::WaitExecute, "wait-execute"),
+        (BeatSite::JoinEntry, "join-entry"),
+        (BeatSite::ScopeSpawn, "scope-spawn"),
+        (BeatSite::Parked, "parked"),
+    ];
+
     fn encode(self) -> u8 {
-        match self {
-            BeatSite::MainLoop => 1,
-            BeatSite::StealRound => 2,
-            BeatSite::WaitExecute => 3,
-            BeatSite::JoinEntry => 4,
-            BeatSite::ScopeSpawn => 5,
-        }
+        self as u8 + 1
     }
 
     fn decode(raw: u8) -> Option<BeatSite> {
-        match raw {
-            1 => Some(BeatSite::MainLoop),
-            2 => Some(BeatSite::StealRound),
-            3 => Some(BeatSite::WaitExecute),
-            4 => Some(BeatSite::JoinEntry),
-            5 => Some(BeatSite::ScopeSpawn),
-            _ => None,
-        }
+        let (site, _) = Self::ALL.get(usize::from(raw).checked_sub(1)?)?;
+        Some(*site)
     }
 }
 
 impl std::fmt::Display for BeatSite {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            BeatSite::MainLoop => "main-loop",
-            BeatSite::StealRound => "steal-round",
-            BeatSite::WaitExecute => "wait-execute",
-            BeatSite::JoinEntry => "join-entry",
-            BeatSite::ScopeSpawn => "scope-spawn",
-        })
+        f.write_str(Self::ALL[*self as usize].1)
     }
 }
 
@@ -250,10 +245,9 @@ pub(crate) struct Supervision {
     pending_respawns: AtomicUsize,
     /// Set on the first unrecoverable loss.
     degraded: AtomicBool,
-    /// Suspect count from the watchdog's last heartbeat scan.
-    suspects: AtomicUsize,
-    /// The suspect slot identities (with last beat sites) from that scan;
-    /// what [`Registry::stall_error`](crate::registry::Registry) names.
+    /// The suspect slots (with last beat sites) from the watchdog's last
+    /// heartbeat scan; what
+    /// [`Registry::stall_error`](crate::registry::Registry) names.
     suspect_slots: Mutex<Vec<(usize, Option<BeatSite>)>>,
     /// Deques handed over by dying workers, awaiting adoption.
     orphans: Mutex<Vec<Orphan>>,
@@ -273,7 +267,6 @@ impl Supervision {
             respawns_used: AtomicU64::new(0),
             pending_respawns: AtomicUsize::new(0),
             degraded: AtomicBool::new(false),
-            suspects: AtomicUsize::new(0),
             suspect_slots: Mutex::new(Vec::new()),
             orphans: Mutex::new(Vec::new()),
             respawned_handles: Mutex::new(Vec::new()),
@@ -381,13 +374,14 @@ impl Supervision {
     }
 
     pub(crate) fn report(&self) -> SupervisorReport {
+        let suspects = self.suspect_slots();
         SupervisorReport {
             live_workers: self.live(),
             respawns_used: self.respawns_used(),
             respawn_budget: self.policy.max_respawns,
             degraded: self.is_degraded(),
-            suspect_workers: self.suspects.load(Ordering::Relaxed),
-            suspects: self.suspect_slots(),
+            suspect_workers: suspects.len(),
+            suspects,
             heartbeats: self
                 .heartbeats
                 .iter()
@@ -397,20 +391,22 @@ impl Supervision {
     }
 
     /// One watchdog scan: records the alive slots whose epoch did not
-    /// advance since `last`, with each one's last-beaten probe site.
-    /// Purely diagnostic — death is reported synchronously via the orphan
-    /// queue, and a suspect may just be parked idle — but a stall error
+    /// advance since `last`, with each one's last-beaten probe site. A
+    /// parked worker beats [`BeatSite::Parked`] on its way into the parker
+    /// and then nothing (it has no timeout to wake it), so a silent slot
+    /// last seen there is idle, not suspect. Purely diagnostic — death is
+    /// reported synchronously via the orphan queue — but a stall error
     /// names exactly these slots ([`suspect_slots`](Self::suspect_slots)).
     fn scan_heartbeats(&self, last: &mut [u64]) {
         let mut suspects = Vec::new();
         for (slot, h) in self.heartbeats.iter().enumerate() {
             let now = h.load(Ordering::Relaxed);
-            if now == last[slot] && self.is_alive(slot) {
-                suspects.push((slot, self.last_beat_site(slot)));
+            let site = self.last_beat_site(slot);
+            if now == last[slot] && self.is_alive(slot) && site != Some(BeatSite::Parked) {
+                suspects.push((slot, site));
             }
             last[slot] = now;
         }
-        self.suspects.store(suspects.len(), Ordering::Relaxed);
         *poison::recover(self.suspect_slots.lock()) = suspects;
     }
 }
@@ -655,16 +651,33 @@ mod tests {
     }
 
     #[test]
+    fn heartbeat_scan_keeps_parked_slots_out_of_the_suspects() {
+        let sup = Supervision::new(2, SupervisionPolicy::new());
+        let mut last = vec![0u64; 2];
+        sup.beat(0, BeatSite::Parked);
+        sup.beat(1, BeatSite::StealRound);
+        sup.scan_heartbeats(&mut last);
+        assert!(sup.report().suspects.is_empty(), "both slots beat since the last scan");
+        // Neither beats again: the parked one is idle, the other is stuck.
+        sup.scan_heartbeats(&mut last);
+        assert_eq!(sup.report().suspects, vec![(1, Some(BeatSite::StealRound))]);
+        assert_eq!(sup.report().suspect_workers, 1);
+        // Woken, it beats elsewhere and falls silent there: suspect again.
+        sup.beat(0, BeatSite::MainLoop);
+        sup.scan_heartbeats(&mut last);
+        sup.scan_heartbeats(&mut last);
+        assert_eq!(
+            sup.report().suspects,
+            vec![(0, Some(BeatSite::MainLoop)), (1, Some(BeatSite::StealRound))]
+        );
+    }
+
+    #[test]
     fn beat_site_encoding_round_trips() {
-        for site in [
-            BeatSite::MainLoop,
-            BeatSite::StealRound,
-            BeatSite::WaitExecute,
-            BeatSite::JoinEntry,
-            BeatSite::ScopeSpawn,
-        ] {
+        for (at, (site, name)) in BeatSite::ALL.into_iter().enumerate() {
+            assert_eq!(site as usize, at, "`ALL` is in declaration order");
             assert_eq!(BeatSite::decode(site.encode()), Some(site));
-            assert!(!site.to_string().is_empty());
+            assert_eq!(site.to_string(), name);
         }
         assert_eq!(BeatSite::decode(0), None);
         assert_eq!(BeatSite::decode(200), None);

@@ -165,6 +165,10 @@ fn scheduler_and_worker_events_flow_from_a_real_pool() {
             let (a, b) = cilk_runtime::join(|| fib(n - 1), || fib(n - 2));
             a + b
         }
+        // Both workers parked, so the install has somebody to wake.
+        while pool.metrics().parks < 2 {
+            std::thread::yield_now();
+        }
         assert_eq!(pool.install(|| fib(10)), 55);
         drop(pool);
     }
@@ -177,6 +181,12 @@ fn scheduler_and_worker_events_flow_from_a_real_pool() {
     assert!(
         events.iter().any(|e| matches!(e, ProbeEvent::WorkerStart { .. })),
         "worker lifecycle events reach WORKER consumers"
+    );
+    let parks = events.iter().filter(|e| matches!(e, ProbeEvent::WorkerPark { .. })).count();
+    let unparks = events.iter().filter(|e| matches!(e, ProbeEvent::WorkerUnpark { .. })).count();
+    assert!(
+        parks >= 2 && unparks >= 1 && unparks <= parks,
+        "the timeline's park/unpark edges: {parks} parks, {unparks} unparks"
     );
     drop(handle);
     assert_registry_empty();
