@@ -988,6 +988,11 @@ pub(crate) fn park_vthread() {
     .expect("cilk_check::thread::park used outside a model execution")
 }
 
+/// The calling virtual thread's id. Panics outside a model.
+pub(crate) fn current_vthread() -> usize {
+    with_current(|_, tid| tid).expect("cilk_check::thread::current used outside a model execution")
+}
+
 /// Hands a wake token to virtual thread `target`. Panics outside a model.
 pub(crate) fn unpark_vthread(target: usize) {
     with_current(|exec, tid| {

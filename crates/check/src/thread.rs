@@ -12,6 +12,7 @@
 
 use std::any::Any;
 use std::marker::PhantomData;
+use std::time::Duration;
 
 use crate::engine;
 
@@ -47,6 +48,33 @@ pub fn park() {
 /// consumes it. Panics outside a model execution.
 pub fn unpark(tid: usize) {
     engine::unpark_vthread(tid);
+}
+
+/// A timed `std::thread::park`. The model has no clock, so the timeout
+/// never fires: this is [`park`], and a model that relies on the timeout to
+/// make progress ends in a deadlock (or its quiescence check) instead.
+pub fn park_timeout(_timeout: Duration) {
+    park();
+}
+
+/// A handle to a virtual thread, as `std::thread::Thread` is to a real
+/// one: it can be cloned, stored and [`unpark`](Thread::unpark)ed.
+#[derive(Clone, Debug)]
+pub struct Thread {
+    tid: usize,
+}
+
+impl Thread {
+    /// Hands this thread a wake token (see [`unpark`]).
+    pub fn unpark(&self) {
+        unpark(self.tid);
+    }
+}
+
+/// The calling virtual thread's handle (`std::thread::current`). Panics
+/// outside a model execution.
+pub fn current() -> Thread {
+    Thread { tid: engine::current_vthread() }
 }
 
 impl<T: 'static> JoinHandle<T> {

@@ -1,13 +1,15 @@
 //! Schedule-exploration models of the *real* `cilk-deque` code, and of the
-//! runtime's idle protocol (`cilk_runtime::idle`).
+//! runtime's idle protocol (`cilk_runtime::idle`) and blocking latch
+//! (`cilk_runtime::LockLatch`).
 //!
 //! This file only compiles under `RUSTFLAGS="--cfg cilk_check"` (ci.sh's
-//! `check` stage): the deque and idle sources swap their `std::sync` imports
-//! for `cilk_check::sync`, so the code explored here is the code that
-//! ships — not a model of it.
+//! `check` stage): the deque, idle and latch sources swap their `std::sync`
+//! (and the latch its `std::thread`) imports for `cilk_check`'s, so the
+//! code explored here is the code that ships — not a model of it.
 //!
 //! Deque invariants asserted across every explored interleaving (the idle
-//! protocol's are stated in `idle_model/mod.rs`):
+//! protocol's and the latch's are stated in `idle_model/mod.rs` and
+//! `latch_model/mod.rs`):
 //!
 //! * **No lost task, no double execution** — the jobs collected by the
 //!   owner (pops, seal drains) and the thieves partition the pushed set.
@@ -19,6 +21,7 @@
 #![cfg(cilk_check)]
 
 mod idle_model;
+mod latch_model;
 
 use cilk_check::{model_with, thread, Config};
 use cilk_deque::{Deque, Protocol, Steal, Stealer, Worker};
@@ -572,4 +575,36 @@ fn idle_terminate_wakes_everyone() {
         &cfg(),
         idle_model::terminate_wakes_everyone(cilk_runtime::idle::Idle::new),
     );
+}
+
+// ---------------------------------------------------------------------------
+// The blocking latch: `cilk_runtime::LockLatch` itself, compiled against the
+// checker's atomics and park/unpark, under `latch_model`. `mutation.rs` runs
+// the same model over a shadow copy with the setter's steps mutable.
+// ---------------------------------------------------------------------------
+
+impl latch_model::Latch for cilk_runtime::LockLatch {
+    fn wait(&self) {
+        self.wait_for(std::time::Duration::MAX);
+    }
+    fn probe(&self) -> bool {
+        cilk_runtime::Probe::probe(self)
+    }
+    unsafe fn set(this: *const Self) {
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { <Self as cilk_runtime::Latch>::set(this) };
+    }
+}
+
+/// The waiter returns only after `SET` and with the setter's writes, and
+/// never stays parked on a set latch — through its polling window, its
+/// announce CAS and its park loop, with a stray unpark anywhere.
+#[test]
+fn latch_one_setter_one_waiter() {
+    let report = model_with(
+        "latch_one_setter_one_waiter",
+        &cfg(),
+        latch_model::one_setter_one_waiter(cilk_runtime::LockLatch::new),
+    );
+    assert!(report.executions > 1_000, "expected a substantial exploration: {report:?}");
 }

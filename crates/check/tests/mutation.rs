@@ -14,9 +14,12 @@
 //! The same is done for the runtime's idle protocol: a shadow of
 //! `cilk_runtime::idle::Idle` with a plantable dropped fence and dropped
 //! re-scan, under the very model (`idle_model`) that `tests/models.rs`
-//! passes the shipping code through.
+//! passes the shipping code through — and for its blocking latch: a shadow
+//! of `cilk_runtime::LockLatch` whose setter reads the waiter's handle after
+//! its swap, or unparks on the wrong transition, under `latch_model`.
 
 mod idle_model;
+mod latch_model;
 
 use std::cell::Cell;
 use std::sync::atomic::AtomicUsize as RealUsize;
@@ -673,4 +676,131 @@ fn catches_idle_park_fence_skipped() {
 #[test]
 fn catches_idle_park_rescan_skipped() {
     assert_lost_wakeup_caught("catches_idle_park_rescan_skipped", IdleMutation::ParkRescanSkipped);
+}
+
+// ---------------------------------------------------------------------------
+// The blocking latch's shadow: `cilk_runtime::LockLatch` copied operation
+// for operation, with the setter's side mutable and every field access
+// asserting that the waiter's frame is still there.
+// ---------------------------------------------------------------------------
+
+/// Which step of `LockLatch::set` to get wrong.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LatchMutation {
+    None,
+    /// Clone the waiter's handle *after* the swap: the waiter may have
+    /// seen `SET`, returned and popped the frame holding it.
+    HandleReadAfterSwap,
+    /// Unpark when the swap found `UNSET` (a waiter still polling) instead
+    /// of `SLEEPING` (a waiter that announced it parks).
+    UnparkOnUnset,
+}
+
+const LATCH_UNSET: usize = 0;
+const LATCH_SET: usize = 1;
+const LATCH_SLEEPING: usize = 2;
+
+struct ShadowLatch {
+    mutation: LatchMutation,
+    state: cilk_check::sync::atomic::AtomicUsize,
+    waiter: thread::Thread,
+    /// Checked, so that every access to the latch is a point where the
+    /// waiter can run, return and pop the frame.
+    retired: cilk_check::sync::atomic::AtomicBool,
+}
+
+impl ShadowLatch {
+    /// A latch whose waiter is the calling thread.
+    fn new(mutation: LatchMutation) -> Self {
+        ShadowLatch {
+            mutation,
+            state: cilk_check::sync::atomic::AtomicUsize::new(LATCH_UNSET),
+            waiter: thread::current(),
+            retired: cilk_check::sync::atomic::AtomicBool::new(false),
+        }
+    }
+
+    /// The latch, provided its frame is still live.
+    fn live(&self) -> &Self {
+        let retired = self.retired.load(Ordering::SeqCst);
+        assert!(!retired, "the setter touched the latch after its frame was popped");
+        self
+    }
+}
+
+impl latch_model::Latch for ShadowLatch {
+    fn wait(&self) {
+        // `WAIT_SPINS + WAIT_YIELDS` polls: the pauses are no yield points.
+        for _ in 0..24 {
+            if self.probe() {
+                return;
+            }
+        }
+        let (unset, sleeping) = (LATCH_UNSET, LATCH_SLEEPING);
+        let _ = self.state.compare_exchange(unset, sleeping, Ordering::Relaxed, Ordering::Relaxed);
+        while !self.probe() {
+            thread::park();
+        }
+    }
+
+    fn probe(&self) -> bool {
+        self.state.load(Ordering::Acquire) == LATCH_SET
+    }
+
+    unsafe fn set(this: *const Self) {
+        // SAFETY: the model keeps the frame allocated; `live` asserts it
+        // is still logically the waiter's.
+        let this = unsafe { &*this };
+        let (waiter, prev) = if this.mutation == LatchMutation::HandleReadAfterSwap {
+            let prev = this.live().state.swap(LATCH_SET, Ordering::Release);
+            (this.live().waiter.clone(), prev)
+        } else {
+            let waiter = this.live().waiter.clone();
+            (waiter, this.live().state.swap(LATCH_SET, Ordering::Release))
+        };
+        let wake_on =
+            if this.mutation == LatchMutation::UnparkOnUnset { LATCH_UNSET } else { LATCH_SLEEPING };
+        if prev == wake_on {
+            waiter.unpark();
+        }
+    }
+
+    fn retire(&self) {
+        self.retired.store(true, Ordering::SeqCst);
+    }
+}
+
+/// The faithful shadow survives the model, as the shipping latch does in
+/// `models.rs` — the mutants below differ from it by one step.
+#[test]
+fn faithful_latch_shadow_passes() {
+    let model = latch_model::one_setter_one_waiter(|| ShadowLatch::new(LatchMutation::None));
+    model_with("faithful_latch_shadow_passes", &cfg(), model);
+}
+
+fn assert_latch_caught(name: &str, mutation: LatchMutation, expected: &str) {
+    let model = latch_model::one_setter_one_waiter(move || ShadowLatch::new(mutation));
+    let report = check(name, &cfg(), Mode::Exhaustive, model);
+    let failure = report
+        .failure
+        .unwrap_or_else(|| panic!("planted mutation not caught in {} executions", report.executions));
+    assert!(failure.message.contains(expected), "unexpected counterexample: {}", failure.message);
+    assert!(!failure.schedule.is_empty(), "counterexample must be replayable");
+}
+
+/// A waiter still polling sees `SET`, returns and pops its frame while the
+/// setter has yet to read the handle it needs.
+#[test]
+fn catches_latch_handle_read_after_swap() {
+    assert_latch_caught(
+        "catches_latch_handle_read_after_swap",
+        LatchMutation::HandleReadAfterSwap,
+        "after its frame was popped",
+    );
+}
+
+/// A waiter that announced `SLEEPING` and parked is never unparked.
+#[test]
+fn catches_latch_unpark_on_unset() {
+    assert_latch_caught("catches_latch_unpark_on_unset", LatchMutation::UnparkOnUnset, "a lost wake-up");
 }

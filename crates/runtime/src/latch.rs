@@ -4,14 +4,21 @@
 //! synchronization are handled by the runtime system"; latches are that
 //! protocol's primitive. A latch starts unset and is set exactly once.
 //! Waiters either spin-and-steal (workers, see
-//! [`crate::registry::WorkerThread::wait_until`]) or block on a mutex
-//! (external threads, [`LockLatch`]).
+//! [`crate::registry::WorkerThread::wait_until`]) or poll briefly and then
+//! park (external threads, [`LockLatch`]).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+// The model-checker seam (see `crate::idle`): cilk-check mirrors the
+// `std` paths used here, park/unpark included.
+#[cfg(cilk_check)]
+use cilk_check as shim;
+#[cfg(not(cilk_check))]
+use std as shim;
 
-use crate::poison;
+use shim::sync::atomic::{AtomicUsize, Ordering};
+use shim::thread::{self, Thread};
+use std::time::{Duration, Instant};
+
+use crate::registry::{self, WAIT_SPINS, WAIT_YIELDS};
 
 /// A latch that can be probed and set.
 ///
@@ -22,7 +29,7 @@ use crate::poison;
 /// stack frame the moment the latch becomes set). Implementations must not
 /// touch `this` after the store that publishes the set state, and callers
 /// must not use the pointer afterwards.
-pub(crate) trait Latch {
+pub trait Latch {
     /// Sets the latch, waking any waiters.
     ///
     /// # Safety
@@ -33,13 +40,15 @@ pub(crate) trait Latch {
 }
 
 /// A latch that waiters can poll.
-pub(crate) trait Probe {
+pub trait Probe {
     /// Returns `true` once the latch has been set.
     fn probe(&self) -> bool;
 }
 
 const UNSET: usize = 0;
 const SET: usize = 1;
+/// [`LockLatch`] only: the waiter gave up polling and parks until set.
+const SLEEPING: usize = 2;
 
 /// The minimal spin latch: a single atomic word.
 pub(crate) struct CoreLatch {
@@ -68,50 +77,72 @@ impl Probe for CoreLatch {
 impl Latch for CoreLatch {
     #[inline]
     unsafe fn set(this: *const Self) {
-        (*this).set_core();
+        // SAFETY: the caller passes a live latch; nothing follows the swap.
+        unsafe { (*this).set_core() };
     }
 }
 
-/// A latch for blocking waits from threads outside the pool.
-pub(crate) struct LockLatch {
-    mutex: Mutex<bool>,
-    cond: Condvar,
+/// A latch for blocking waits from threads outside the pool: a state word
+/// and the waiter's thread handle, no lock. The waiter polls for a few
+/// microseconds, then announces `SLEEPING` and parks; `set` unparks only an
+/// announced waiter, so a latch set while its waiter polls costs no syscall.
+pub struct LockLatch {
+    state: AtomicUsize,
+    waiter: Thread,
 }
 
 impl LockLatch {
-    pub(crate) fn new() -> Self {
-        LockLatch { mutex: Mutex::new(false), cond: Condvar::new() }
+    /// A latch whose waiter is the calling thread: only it may wait on it.
+    pub fn new() -> Self {
+        LockLatch { state: AtomicUsize::new(UNSET), waiter: thread::current() }
     }
 
-    /// Blocks the calling thread until the latch is set.
-    // Poison recovery throughout: the latch guards a single `bool`, which
-    // is always consistent between operations — see `crate::poison`.
-    pub(crate) fn wait(&self) {
-        let guard = poison::recover(self.mutex.lock());
-        drop(poison::recover(self.cond.wait_while(guard, |set| !*set)));
-    }
-
-    /// Blocks until the latch is set or `timeout` elapses; returns whether
-    /// the latch was set. Backs the pool's stall detection
-    /// ([`crate::Config::stall_timeout`]).
-    pub(crate) fn wait_for(&self, timeout: Duration) -> bool {
-        let guard = poison::recover(self.mutex.lock());
-        *poison::recover(self.cond.wait_timeout_while(guard, timeout, |set| !*set)).0
+    /// Blocks the calling thread until the latch is set or `timeout`
+    /// elapses (never, at `Duration::MAX`); returns whether it was set.
+    pub fn wait_for(&self, timeout: Duration) -> bool {
+        for round in 0..WAIT_SPINS + WAIT_YIELDS {
+            if self.probe() {
+                return true;
+            }
+            registry::pause(round, WAIT_SPINS);
+        }
+        // Counted from here: the polling above is a few microseconds.
+        let deadline = Instant::now().checked_add(timeout);
+        // Fails on `SET`, or on `SLEEPING` announced by an earlier call.
+        // Relaxed: this and the setter's swap are read-modify-writes of one
+        // word, so whichever comes second sees the first.
+        let _ = self.state.compare_exchange(UNSET, SLEEPING, Ordering::Relaxed, Ordering::Relaxed);
+        // A stale or spurious unpark costs one more look.
+        while !self.probe() {
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => thread::park(),
+                Some(left) if left.is_zero() => return false,
+                Some(left) => thread::park_timeout(left),
+            }
+        }
+        true
     }
 }
 
 impl Latch for LockLatch {
     unsafe fn set(this: *const Self) {
-        let this = &*this;
-        let mut guard = poison::recover(this.mutex.lock());
-        *guard = true;
-        this.cond.notify_all();
+        // SAFETY: `this` is live until the swap publishes `SET`; from then
+        // on the waiter may return and pop the latch's frame, so the handle
+        // is cloned first and nothing of `*this` is touched after the swap.
+        let waiter = unsafe { (*this).waiter.clone() };
+        // SAFETY: as above; this swap is the last access to `*this`. Its
+        // `Release` pairs with `probe`'s `Acquire`: the job's result is
+        // visible to a waiter that reads `SET`.
+        if unsafe { (*this).state.swap(SET, Ordering::Release) } == SLEEPING {
+            // Synchronizes-with the `park` it ends: the next probe sees `SET`.
+            waiter.unpark();
+        }
     }
 }
 
 impl Probe for LockLatch {
     fn probe(&self) -> bool {
-        *poison::recover(self.mutex.lock())
+        self.state.load(Ordering::Acquire) == SET
     }
 }
 
@@ -159,6 +190,7 @@ impl Probe for CountLatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::thread;
 
@@ -177,11 +209,42 @@ mod tests {
         let l2 = Arc::clone(&l);
         let t = thread::spawn(move || {
             thread::sleep(std::time::Duration::from_millis(10));
+            // SAFETY: the `Arc` keeps the latch alive past the call.
             unsafe { Latch::set(&*l2 as *const LockLatch) };
         });
-        l.wait();
-        assert!(l.probe());
+        assert!(l.wait_for(Duration::MAX));
         t.join().expect("setter panicked");
+    }
+
+    #[test]
+    fn lock_latch_ignores_stray_unparks() {
+        let l = Arc::new(LockLatch::new());
+        let released = Arc::new(AtomicBool::new(false));
+        let waiter = thread::current();
+        let stop = Arc::new(AtomicBool::new(false));
+        let spammer = {
+            let stop = Arc::clone(&stop);
+            thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    waiter.unpark();
+                    thread::yield_now();
+                }
+            })
+        };
+        let setter = {
+            let (l, released) = (Arc::clone(&l), Arc::clone(&released));
+            thread::spawn(move || {
+                thread::sleep(Duration::from_millis(20));
+                released.store(true, Ordering::Relaxed);
+                // SAFETY: the `Arc` keeps the latch alive past the call.
+                unsafe { Latch::set(&*l as *const LockLatch) };
+            })
+        };
+        assert!(l.wait_for(Duration::MAX));
+        assert!(released.load(Ordering::Relaxed), "wait returned before set");
+        stop.store(true, Ordering::Relaxed);
+        spammer.join().expect("spammer panicked");
+        setter.join().expect("setter panicked");
     }
 
     #[test]
@@ -191,6 +254,7 @@ mod tests {
         let l2 = Arc::clone(&l);
         let t = thread::spawn(move || {
             thread::sleep(Duration::from_millis(10));
+            // SAFETY: the `Arc` keeps the latch alive past the call.
             unsafe { Latch::set(&*l2 as *const LockLatch) };
         });
         assert!(l.wait_for(Duration::from_secs(30)), "set latch is observed");

@@ -54,6 +54,9 @@ mod scope;
 mod supervisor;
 mod unwind;
 
+// For cilk-check's model of the blocking latch (`crates/check/tests/models.rs`).
+#[cfg(cilk_check)]
+pub use latch::{Latch, LockLatch, Probe};
 pub use admission::{
     AdmissionPolicy, AdmissionReport, Overloaded, Priority, RejectReason, SubmitError,
     TenantId, TenantStats,
@@ -176,7 +179,7 @@ impl ThreadPool {
     /// workspace test seed (`CILK_TEST_SEED`). Print it in failure
     /// messages so a randomized schedule can be replayed exactly.
     pub fn rng_seed(&self) -> u64 {
-        self.registry.rng_seed()
+        self.registry.rng_seed
     }
 
     /// Number of workers currently alive. Equal to
@@ -301,7 +304,7 @@ impl ThreadPool {
     /// depth, and per-tenant counters (admitted / rejected / completed /
     /// cancelled / in-flight).
     pub fn admission_report(&self) -> AdmissionReport {
-        self.registry.injector().report()
+        self.registry.injector.report()
     }
 }
 

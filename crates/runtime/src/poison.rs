@@ -9,9 +9,8 @@
 //!
 //! * the injected-job queue (`VecDeque<JobRef>`: `push_back`/`pop_front`
 //!   are atomic with respect to panics — no closure runs under the lock),
-//! * the sleep mutex (guards nothing; it exists only to pair with the
-//!   condvar),
-//! * the `LockLatch` flag (a single `bool` store).
+//! * the idle protocol's parked-slot stack and each worker's parker token
+//!   (a single `bool` store).
 //!
 //! A panic can therefore never leave them mid-mutation, and recovering the
 //! guard from a poisoned lock is sound. [`recover`] documents that

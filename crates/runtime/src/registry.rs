@@ -23,7 +23,6 @@ use crate::fault::{self, FaultAction, FaultHandler, FaultSite};
 use crate::idle::{Idle, IdleEnv, Parker};
 use crate::job::{JobRef, StackJob};
 use crate::latch::{LockLatch, Probe};
-use crate::latch::Latch;
 use crate::lifecycle::{self, RetireEnv};
 use crate::metrics::{CounterBlock, MetricsSnapshot};
 use crate::probe::{self, ProbeEvent};
@@ -59,6 +58,21 @@ const SEARCH_SPINS: u32 = 16;
 const SEARCH_YIELDS: u32 = 2;
 // A woken worker looks for the work it was woken for in its first round.
 const _: () = assert!(SEARCH_SPINS + SEARCH_YIELDS > 0);
+
+/// Rounds a client blocked in [`LockLatch::wait`] polls before it parks,
+/// paced as a search (docs/scheduler.md, "Client wait", has the ablations).
+pub(crate) const WAIT_SPINS: u32 = 16;
+pub(crate) const WAIT_YIELDS: u32 = 8;
+
+/// The pause after round `round` of a bounded poll whose first `spins`
+/// rounds spin: a few `spin_loop` hints, then a `yield_now`.
+pub(crate) fn pause(round: u32, spins: u32) {
+    if round < spins {
+        (0..8).for_each(|_| std::hint::spin_loop());
+    } else {
+        thread::yield_now();
+    }
+}
 
 /// Shared state of one thread pool.
 pub(crate) struct Registry {
@@ -174,12 +188,6 @@ impl Registry {
         self.thread_infos.len()
     }
 
-    /// The base seed of this pool's victim-selection PRNG streams (see
-    /// [`crate::Config::rng_seed`]).
-    pub(crate) fn rng_seed(&self) -> u64 {
-        self.rng_seed
-    }
-
     /// Initial xorshift state for the worker stream keyed by `key`,
     /// derived from the pool seed through the testkit generator so
     /// `CILK_TEST_SEED` replays the identical steal schedule bias.
@@ -252,11 +260,6 @@ impl Registry {
     /// Jobs sitting in the external-injection queues right now.
     pub(crate) fn queued_jobs(&self) -> usize {
         self.injector.depth()
-    }
-
-    /// The admission layer's injector (quota accounting, shard geometry).
-    pub(crate) fn injector(&self) -> &Injector {
-        &self.injector
     }
 
     /// Whether installs must degrade to serial in-place execution: a
@@ -424,7 +427,6 @@ impl Registry {
         R: Send,
         E: From<RuntimeStalled>,
     {
-        let latch = LockLatch::new();
         // The op lives in a slot the injected job empties on execution.
         // If the pool dies before claiming the job, the slot still holds
         // the op and the caller can run it serially in place.
@@ -444,7 +446,7 @@ impl Registry {
                     op(&*wt)
                 }
             },
-            LatchRef { latch: &latch },
+            LockLatch::new(),
         );
         // SAFETY: `job` stays on this frame until its latch is set or it
         // has been cancelled out of the queue, and is executed at most once.
@@ -455,40 +457,30 @@ impl Registry {
                 note(&self.injector, tenant);
             }
         };
-        let step = match (self.stall_timeout, &self.supervision) {
-            (None, None) => None,
-            (Some(t), None) => Some(t),
-            (None, Some(sup)) => Some(sup.policy.wait_step()),
-            (Some(t), Some(sup)) => Some(t.min(sup.policy.wait_step())),
-        };
-        match step {
-            None => latch.wait(),
-            Some(step) => {
-                let mut waited = Duration::ZERO;
-                while !latch.wait_for(step) {
-                    waited += step;
-                    // A supervised pool that went fully dead with no
-                    // recovery in flight will never claim the job: reclaim
-                    // it from the queue and honor it serially in place —
-                    // completed, not cancelled. (A claimed job is already
-                    // executing — wait on; a removed one never will, so its
-                    // frame can be abandoned.)
-                    if self.degraded_serial() && self.injector.cancel(job_ref) {
-                        let op = op_slot.take().expect("cancelled job retains its op");
-                        bill(Injector::note_completed);
-                        return Ok(self.run_in_place(op));
-                    }
-                    // Stall deadline passed. If the job is still sitting in
-                    // the queue no worker will ever claim it (all dead or
-                    // wedged): cancel it — making the stack frame safe to
-                    // abandon — and diagnose.
-                    if self.stall_timeout.is_some_and(|t| waited >= t)
-                        && self.injector.cancel(job_ref)
-                    {
-                        bill(Injector::note_cancelled);
-                        return Err(self.stall_error(waited).into());
-                    }
-                }
+        let step = [self.stall_timeout, self.supervision.as_ref().map(|sup| sup.policy.wait_step())]
+            .into_iter()
+            .flatten()
+            .min()
+            .unwrap_or(Duration::MAX);
+        let mut waited = Duration::ZERO;
+        while !job.latch.wait_for(step) {
+            waited = waited.saturating_add(step);
+            // A supervised pool that went fully dead with no recovery in
+            // flight will never claim the job: reclaim it from the queue and
+            // honor it serially in place — completed, not cancelled. (A
+            // claimed job is already executing — wait on; a removed one
+            // never will, so its frame can be abandoned.)
+            if self.degraded_serial() && self.injector.cancel(job_ref) {
+                let op = op_slot.take().expect("cancelled job retains its op");
+                bill(Injector::note_completed);
+                return Ok(self.run_in_place(op));
+            }
+            // Stall deadline passed. If the job is still sitting in the
+            // queue no worker will ever claim it (all dead or wedged): cancel
+            // it — making the stack frame safe to abandon — and diagnose.
+            if self.stall_timeout.is_some_and(|t| waited >= t) && self.injector.cancel(job_ref) {
+                bill(Injector::note_cancelled);
+                return Err(self.stall_error(waited).into());
             }
         }
         // Count completion before `into_result`: a captured panic resumes
@@ -755,18 +747,6 @@ impl<T> Copy for SendPtr<T> {}
 // SAFETY: see the use sites — the pointee outlives the closure and access
 // is mutually exclusive by protocol.
 unsafe impl<T> Send for SendPtr<T> {}
-
-/// A [`Latch`] implementation that delegates to a borrowed latch, letting a
-/// stack-allocated [`LockLatch`] be shared with a [`StackJob`].
-pub(crate) struct LatchRef<'a, L: Latch> {
-    latch: &'a L,
-}
-
-impl<L: Latch> Latch for LatchRef<'_, L> {
-    unsafe fn set(this: *const Self) {
-        Latch::set((*this).latch as *const L);
-    }
-}
 
 thread_local! {
     static WORKER_THREAD: Cell<*const WorkerThread> = const { Cell::new(ptr::null()) };
@@ -1183,11 +1163,7 @@ impl WorkerThread {
                         return job;
                     }
                 }
-                if round < SEARCH_SPINS {
-                    (0..8).for_each(|_| std::hint::spin_loop());
-                } else {
-                    thread::yield_now();
-                }
+                pause(round, SEARCH_SPINS);
             }
             env.empty_wake = registry.idle.park(self.index, &env);
         }
@@ -1309,14 +1285,14 @@ mod tests {
     fn pool_rng_seed_pinned_and_defaulted() {
         let config = Config::new().num_workers(1).rng_seed(42);
         let (registry, handles) = Registry::new(&config).expect("spawn workers");
-        assert_eq!(registry.rng_seed(), 42);
+        assert_eq!(registry.rng_seed, 42);
         registry.terminate();
         for h in handles {
             h.join().expect("worker panicked");
         }
         let (registry, handles) =
             Registry::new(&Config::new().num_workers(1)).expect("spawn workers");
-        assert_eq!(registry.rng_seed(), cilk_testkit::base_seed());
+        assert_eq!(registry.rng_seed, cilk_testkit::base_seed());
         registry.terminate();
         for h in handles {
             h.join().expect("worker panicked");

@@ -55,6 +55,35 @@ fn idle_pool_is_silent() {
     assert_eq!(pool.install(|| 6 * 7), 42);
 }
 
+/// Runs `client` on `clients` threads against `pool`; a client still
+/// blocked after two minutes is a lost wake-up, reported with the pool's
+/// counters.
+fn run_clients(pool: &ThreadPool, clients: usize, client: impl Fn() + Sync) {
+    let (done, finished) = mpsc::channel();
+    std::thread::scope(|s| {
+        for _ in 0..clients {
+            let (client, done) = (&client, done.clone());
+            s.spawn(move || {
+                client();
+                done.send(()).expect("the watchdog outlives the clients");
+            });
+        }
+        for stuck in 0..clients {
+            if finished.recv_timeout(Duration::from_secs(120)).is_err() {
+                // Exiting is the only way out: the scope would wait for
+                // the stuck clients.
+                eprintln!(
+                    "{} workers: client {stuck} of {clients} is stuck, {} jobs queued: {:?}",
+                    pool.num_workers(),
+                    pool.queued_jobs(),
+                    pool.metrics()
+                );
+                std::process::exit(1);
+            }
+        }
+    });
+}
+
 #[test]
 fn no_lost_wakeup_without_a_timeout() {
     const CLIENTS: usize = 4;
@@ -95,6 +124,25 @@ fn no_lost_wakeup_without_a_timeout() {
         let m = pool.metrics();
         assert_eq!(m.injections, (2 * CLIENTS * ROUNDS) as u64, "{m:?}");
         assert_eq!(pool.queued_jobs(), 0);
+    }
+}
+
+/// An `install` waits on a latch in its own stack frame, and the next
+/// `install` builds its latch in the same place the moment `wait` returns:
+/// a worker that touched the latch after setting it would corrupt the
+/// next round trip's (the moved-frame bug class).
+#[test]
+fn install_frames_are_reused_at_once() {
+    const CLIENTS: u64 = 4;
+    const ROUNDS: u64 = 25_000;
+    for workers in [1, 2] {
+        let pool = pool(workers);
+        run_clients(&pool, CLIENTS as usize, || {
+            for round in 0..ROUNDS {
+                assert_eq!(pool.install(move || round ^ 0x5A5A), round ^ 0x5A5A);
+            }
+        });
+        assert_eq!(pool.metrics().injections, CLIENTS * ROUNDS);
     }
 }
 
