@@ -5,38 +5,19 @@
 //! reports every determinacy race that the program's dag exposes on this
 //! input. The program is expressed against [`Execution`]: `spawn`, `sync`,
 //! `read`/`write` of [`Location`]s, and `with_lock` critical sections.
+//!
+//! This module also holds the per-thread hooks both sessions share: the
+//! access dispatch, the lock set, and reducer-view suppression.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
-use crate::report::{Location, LockId, Race, RaceKind, Report};
+use cilk_runtime::probe;
+
+use crate::history::{LocState, RaceSink};
+use crate::report::{Location, LockId, Report};
 use crate::spbags::{ProcId, SpBags};
 use crate::structure::{StructureEvent, StructureTrace};
-
-/// A recorded access: who, holding which locks, labeled how.
-///
-/// `locks` is always sorted and deduplicated (it is a snapshot of the
-/// session's `held_locks`, which maintains that invariant at insertion),
-/// so the subset/disjointness tests below run as linear merges and race
-/// reports are deterministic regardless of lock-acquisition order.
-#[derive(Debug, Clone)]
-struct Access {
-    proc: ProcId,
-    locks: Vec<LockId>,
-    site: Option<&'static str>,
-}
-
-/// Shadow state per memory location, per the ALL-SETS discipline of
-/// Cheng et al. [8]: *lists* of (procedure, lock-set) access records.
-/// A single writer/reader slot (plain SP-bags) is unsound with locks —
-/// e.g. write{A}; write{A,B}; read{B} misses the {A}-vs-{B} race — so
-/// each distinct useful lock-set keeps its own entry, pruned when a newer
-/// serial access with a subset lock-set *dominates* it (any future race
-/// with the old entry is then also a race with the new one).
-#[derive(Debug, Clone, Default)]
-struct LocState {
-    writers: Vec<Access>,
-    readers: Vec<Access>,
-}
 
 /// The race detector. Construct with [`Detector::new`], then [`Detector::run`]
 /// the program to obtain a [`Report`].
@@ -56,42 +37,39 @@ struct LocState {
 /// });
 /// assert!(!report.is_race_free());
 /// ```
+///
+/// Tracked data reports to the session by itself — here two logically
+/// parallel pushes onto one shared list, the bug of the paper's Fig. 5:
+///
+/// ```
+/// use cilkscreen::{Detector, Shadow};
+///
+/// let list = Shadow::new(Vec::new());
+/// let report = Detector::new().run(|e| {
+///     e.spawn(|_| list.update(|l| l.push(1)));
+///     list.update(|l| l.push(2)); // parallel with the child: race!
+///     e.sync();
+/// });
+/// assert!(!report.is_race_free());
+/// println!("{report}"); // localized: which accesses, which location
+/// ```
 #[derive(Debug, Default)]
-pub struct Detector {
-    dedup_per_location: bool,
-    record_structure: bool,
-}
+pub struct Detector;
 
 impl Detector {
-    /// Creates a detector with default settings (one report per
-    /// location/kind pair).
+    /// Creates a detector. Reports keep one race per (location, kind).
     pub fn new() -> Self {
-        Detector { dedup_per_location: true, record_structure: false }
-    }
-
-    /// Reports every dynamic race occurrence instead of deduplicating by
-    /// (location, kind).
-    pub fn report_all_occurrences(mut self) -> Self {
-        self.dedup_per_location = false;
-        self
-    }
-
-    /// Also records the execution's series-parallel structure; retrieve it
-    /// with [`Detector::run_traced`].
-    pub fn record_structure(mut self) -> Self {
-        self.record_structure = true;
-        self
+        Detector
     }
 
     /// Like [`Detector::run`], but additionally returns the recorded
-    /// [`StructureTrace`] (implies structure recording).
-    pub fn run_traced<F>(mut self, program: F) -> (Report, StructureTrace)
+    /// [`StructureTrace`]: the execution's series-parallel skeleton.
+    pub fn run_traced<F>(self, program: F) -> (Report, StructureTrace)
     where
         F: FnOnce(&mut Execution<'_>),
     {
-        self.record_structure = true;
         let mut trace = StructureTrace::default();
-        let report = self.run_with(program, &mut trace);
+        let ((), report) = self.session(|| program(&mut Execution::new()), Some(&mut trace));
         (report, trace)
     }
 
@@ -103,22 +81,7 @@ impl Detector {
     where
         F: FnOnce(&mut Execution<'_>),
     {
-        let mut trace = StructureTrace::default();
-        self.run_with(program, &mut trace)
-    }
-
-    fn run_with<F>(self, program: F, trace_out: &mut StructureTrace) -> Report
-    where
-        F: FnOnce(&mut Execution<'_>),
-    {
-        let ((), report) = self.monitor_with(
-            || {
-                let mut exec = Execution { _marker: std::marker::PhantomData };
-                program(&mut exec);
-            },
-            trace_out,
-        );
-        report
+        self.session(|| program(&mut Execution::new()), None).1
     }
 
     /// Executes an arbitrary closure under surveillance and returns its
@@ -139,76 +102,117 @@ impl Detector {
     where
         F: FnOnce() -> R,
     {
-        let mut trace = StructureTrace::default();
-        self.monitor_with(program, &mut trace)
+        self.session(program, None)
     }
 
-    /// Like [`Detector::monitor`], but additionally returns the recorded
-    /// [`StructureTrace`] (implies structure recording).
-    pub fn monitor_traced<F, R>(mut self, program: F) -> (R, Report, StructureTrace)
-    where
-        F: FnOnce() -> R,
-    {
-        self.record_structure = true;
-        let mut trace = StructureTrace::default();
-        let (value, report) = self.monitor_with(program, &mut trace);
-        (value, report, trace)
-    }
-
-    fn monitor_with<F, R>(self, program: F, trace_out: &mut StructureTrace) -> (R, Report)
+    fn session<F, R>(self, program: F, trace: Option<&mut StructureTrace>) -> (R, Report)
     where
         F: FnOnce() -> R,
     {
         let state = State {
             bags: SpBags::new(),
             shadow: HashMap::new(),
-            held_locks: Vec::new(),
-            races: Vec::new(),
-            seen: HashMap::new(),
+            sink: RaceSink::default(),
             suppressed_views: 0,
-            dedup: self.dedup_per_location,
-            structure: if self.record_structure {
-                Some(StructureTrace::default())
-            } else {
-                None
-            },
+            structure: trace.is_some().then(StructureTrace::default),
         };
         SESSION.with(|session| {
             let mut slot = session.borrow_mut();
             assert!(slot.is_none(), "a cilkscreen session is already active on this thread");
             *slot = Some(state);
         });
-        // Guard: deactivate the session even if `program` panics.
-        struct SessionGuard;
+        // Deactivates the session even if `program` panics, and gives the
+        // thread back the lock set it had before the session began.
+        struct SessionGuard(Vec<LockId>);
         impl Drop for SessionGuard {
             fn drop(&mut self) {
-                SESSION.with(|session| session.borrow_mut().take());
+                let _ = SESSION.try_with(|session| session.borrow_mut().take());
+                let _ = HELD_LOCKS.try_with(|held| held.replace(std::mem::take(&mut self.0)));
             }
         }
-        let guard = SessionGuard;
+        let _guard = SessionGuard(HELD_LOCKS.with(RefCell::take));
         let value = program();
-        // The root procedure's implicit sync.
-        with_state(|state| {
-            state.record_structure(StructureEvent::Sync);
-            state.bags.sync();
-        });
+        with_state(State::sync); // the root procedure's implicit sync
         let state = SESSION
             .with(|session| session.borrow_mut().take())
             .expect("session still active");
-        std::mem::forget(guard);
-        if let Some(trace) = state.structure {
-            *trace_out = trace;
+        if let (Some(out), Some(recorded)) = (trace, state.structure) {
+            *out = recorded;
         }
-        let mut report =
-            Report { races: state.races, suppressed_views: state.suppressed_views };
-        report.normalize();
-        (value, report)
+        (value, state.sink.to_report(state.suppressed_views))
+    }
+}
+
+/// One serial session: SP-bags reachability over a plain per-thread map.
+struct State {
+    bags: SpBags,
+    shadow: HashMap<Location, LocState<ProcId>>,
+    sink: RaceSink,
+    suppressed_views: u64,
+    structure: Option<StructureTrace>,
+}
+
+impl State {
+    fn trace(&mut self, event: StructureEvent) {
+        let depth = self.bags.depth() - 1;
+        if let Some(trace) = self.structure.as_mut() {
+            trace.record(depth, event);
+        }
+    }
+
+    fn access(&mut self, location: Location, write: bool, site: Option<&'static str>) {
+        self.trace(if write {
+            StructureEvent::Write(location, site)
+        } else {
+            StructureEvent::Read(location, site)
+        });
+        let current = self.bags.current_procedure();
+        let history = self.shadow.entry(location).or_default();
+        let racers = history.access(&mut self.bags, current, write, held_locks(), site);
+        self.sink.push(location, racers, site);
+    }
+
+    fn spawn(&mut self) {
+        self.trace(StructureEvent::Spawn);
+        self.bags.spawn_procedure();
+    }
+
+    fn ret(&mut self) {
+        self.bags.sync(); // the child's own implicit sync
+        self.bags.return_procedure();
+        self.trace(StructureEvent::Return);
+    }
+
+    fn sync(&mut self) {
+        self.trace(StructureEvent::Sync);
+        self.bags.sync();
     }
 }
 
 thread_local! {
-    static SESSION: std::cell::RefCell<Option<State>> =
-        const { std::cell::RefCell::new(None) };
+    static SESSION: RefCell<Option<State>> = const { RefCell::new(None) };
+
+    /// Locks held by the strand executing on this thread, sorted and
+    /// deduplicated so lock-set snapshots compare as linear merges. One
+    /// set serves both sessions: a parallel strand never migrates workers
+    /// mid-critical-section, because `cilk::sync::Mutex` guards are held
+    /// across no spawn or sync (documented in `docs/cilkscreen.md`).
+    static HELD_LOCKS: RefCell<Vec<LockId>> = const { RefCell::new(Vec::new()) };
+
+    /// Reducer-view suppression depth (§5): while positive, shadow-memory
+    /// accesses on this thread are not recorded.
+    static SUPPRESSED: Cell<usize> = const { Cell::new(0) };
+}
+
+// The hooks below use `try_with`: they fire from production code paths —
+// lock guards, reducer accesses — which can run while the thread's TLS is
+// already being torn down (e.g. a guard held in a TLS destructor) or while
+// the thread unwinds from a panic. A destroyed slot means "no session":
+// degrade to a no-op, never panic.
+
+/// Runs `f` against this thread's serial session, if one is active.
+fn with_session<R>(f: impl FnOnce(&mut State) -> R) -> Option<R> {
+    SESSION.try_with(|session| session.borrow_mut().as_mut().map(f)).ok().flatten()
 }
 
 /// Runs `f` against the active session's state.
@@ -217,31 +221,13 @@ thread_local! {
 ///
 /// Panics if no [`Detector::run`] is active on this thread.
 fn with_state<R>(f: impl FnOnce(&mut State) -> R) -> R {
-    SESSION.with(|session| {
-        let mut slot = session.borrow_mut();
-        let state = slot
-            .as_mut()
-            .expect("no active cilkscreen session on this thread");
-        f(state)
-    })
+    with_session(f).expect("no active cilkscreen session on this thread")
 }
 
-thread_local! {
-    /// Reducer-view suppression depth (§5): while positive, shadow-memory
-    /// accesses on this thread are not recorded. Incremented/decremented
-    /// by [`crate::instrument::suppress_view_access`], which `cilk-hyper`
-    /// wraps around every reducer view access.
-    static SUPPRESSED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Whether shadow accesses on this thread are currently suppressed.
-// These helpers (and every session hook below) use `try_with`: they fire
-// from production code paths — lock guards, reducer accesses — which can
-// run while the thread's TLS is already being torn down (e.g. a guard
-// held in a TLS destructor) or while the thread unwinds from a panic. A
-// destroyed slot means "no session": degrade to a no-op, never panic.
-pub(crate) fn suppressed() -> bool {
-    SUPPRESSED.try_with(|depth| depth.get() > 0).unwrap_or(false)
+/// Whether a serial detector session is active on this thread. This is the
+/// `active` predicate of the serial-capture probe consumer.
+pub(crate) fn session_active() -> bool {
+    SESSION.try_with(|session| session.borrow().is_some()).unwrap_or(false)
 }
 
 pub(crate) fn suppression_enter() {
@@ -250,15 +236,13 @@ pub(crate) fn suppression_enter() {
 
 pub(crate) fn suppression_exit() {
     let _ = SUPPRESSED.try_with(|depth| {
-        let current = depth.get();
-        debug_assert!(current > 0, "unbalanced suppression exit");
-        depth.set(current.saturating_sub(1));
+        debug_assert!(depth.get() > 0, "unbalanced suppression exit");
+        depth.set(depth.get().saturating_sub(1));
     });
 }
 
-/// Reports a read to the active session, if any (no-op otherwise).
-/// Used by the instrumented containers in [`crate::trace`] and the
-/// tracked data types in [`crate::instrument`].
+/// Reports an access to the active session, if any (no-op otherwise).
+/// Used by the tracked data types in [`crate::instrument`].
 ///
 /// Dispatch order: a thread-local serial session (SP-bags) claims the
 /// access first; otherwise, if the thread carries an SP-order label (it
@@ -266,83 +250,29 @@ pub(crate) fn suppression_exit() {
 /// goes to the concurrent shadow memory ([`crate::shadow`]). The two
 /// sessions are mutually exclusive by construction — serial capture
 /// forces the elision, so no labeled strand exists during it.
-pub(crate) fn record_read(location: Location, site: Option<&'static str>) {
-    let serial = SESSION
-        .try_with(|session| {
-            if let Some(state) = session.borrow_mut().as_mut() {
-                if !suppressed() {
-                    state.on_read(location, site);
-                }
-                true
-            } else {
-                false
-            }
-        })
-        .unwrap_or(false);
-    if !serial {
-        crate::shadow::par_record_read(location, site);
+pub(crate) fn record(location: Location, write: bool, site: Option<&'static str>) {
+    if SUPPRESSED.try_with(|depth| depth.get() > 0).unwrap_or(false) {
+        return;
     }
-}
-
-/// Reports a write to the active session, if any (no-op otherwise).
-/// Dispatches like [`record_read`].
-pub(crate) fn record_write(location: Location, site: Option<&'static str>) {
-    let serial = SESSION
-        .try_with(|session| {
-            if let Some(state) = session.borrow_mut().as_mut() {
-                if !suppressed() {
-                    state.on_write(location, site);
-                }
-                true
-            } else {
-                false
-            }
-        })
-        .unwrap_or(false);
-    if !serial {
-        crate::shadow::par_record_write(location, site);
+    if with_session(|state| state.access(location, write, site)).is_none() {
+        crate::shadow::record(location, write, site);
     }
-}
-
-/// Whether a detector session is active on this thread. This is the
-/// `active` predicate handed to the `cilk-runtime` scheduler hooks and the
-/// fast-path gate for the `Mutex` lock events.
-pub(crate) fn session_active() -> bool {
-    SESSION.try_with(|session| session.borrow().is_some()).unwrap_or(false)
 }
 
 /// Scheduler hook: the current strand spawned a child procedure that is
 /// about to execute (serial elision order). No-op without a session.
 pub(crate) fn session_spawn() {
-    let _ = SESSION.try_with(|session| {
-        if let Some(state) = session.borrow_mut().as_mut() {
-            state.record_structure(StructureEvent::Spawn);
-            state.bags.spawn_procedure();
-        }
-    });
+    with_session(State::spawn);
 }
 
 /// Scheduler hook: the spawned child returned (with its implicit sync).
-/// No-op without a session.
 pub(crate) fn session_return() {
-    let _ = SESSION.try_with(|session| {
-        if let Some(state) = session.borrow_mut().as_mut() {
-            state.bags.sync(); // the child's own implicit sync
-            state.bags.return_procedure();
-            state.record_structure(StructureEvent::Return);
-        }
-    });
+    with_session(State::ret);
 }
 
-/// Scheduler hook: a `cilk_sync` in the current procedure. No-op without a
-/// session.
+/// Scheduler hook: a `cilk_sync` in the current procedure.
 pub(crate) fn session_sync() {
-    let _ = SESSION.try_with(|session| {
-        if let Some(state) = session.borrow_mut().as_mut() {
-            state.record_structure(StructureEvent::Sync);
-            state.bags.sync();
-        }
-    });
+    with_session(State::sync);
 }
 
 /// Reducer hook: the current strand is entering an access to a reducer
@@ -350,209 +280,53 @@ pub(crate) fn session_sync() {
 /// shadow accesses are suppressed — "the race detector should ignore
 /// apparent races due to reducers" (§5) — and the session counts the
 /// access so reports can show how much reducer traffic was excused.
-pub(crate) fn view_enter(_reducer: u64) {
-    let _ = SESSION.try_with(|session| {
-        if let Some(state) = session.borrow_mut().as_mut() {
-            state.suppressed_views += 1;
-        }
-    });
+pub(crate) fn view_enter() {
+    if with_session(|state| state.suppressed_views += 1).is_none() {
+        crate::shadow::count_view();
+    }
     suppression_enter();
 }
 
-/// Reducer hook: the matching exit of [`view_enter`].
-pub(crate) fn view_exit(_reducer: u64) {
-    suppression_exit();
+/// Adds `lock` to this thread's lock set; false if it was already held.
+fn insert_lock(lock: LockId) -> bool {
+    HELD_LOCKS
+        .try_with(|held| {
+            let mut held = held.borrow_mut();
+            match held.binary_search(&lock) {
+                Ok(_) => false,
+                Err(pos) => {
+                    held.insert(pos, lock);
+                    true
+                }
+            }
+        })
+        .unwrap_or(true)
 }
 
 /// Lock hook: the current strand acquired `lock` (a real `Mutex`, not the
-/// DSL's `with_lock`). Lenient — re-acquisition is ignored rather than a
-/// panic, and no session means no-op — because the hook fires from
-/// production locking code paths.
-pub(crate) fn session_lock_acquired(lock: LockId) {
-    let _ = SESSION.try_with(|session| {
-        if let Some(state) = session.borrow_mut().as_mut() {
-            if let Err(pos) = state.held_locks.binary_search(&lock) {
-                state.held_locks.insert(pos, lock);
-            }
+/// DSL's `with_lock`). Recorded only while a session — serial, or a
+/// labeled parallel strand — is active on this thread, and idempotent on
+/// re-acquisition: events can arrive both from the probe stream and from
+/// the manual instrumentation API.
+pub(crate) fn lock_acquired(lock: LockId) {
+    if session_active() || probe::sp_session_active() {
+        insert_lock(lock);
+    }
+}
+
+/// Lock hook: the current strand released `lock`. Lenient on unheld locks.
+pub(crate) fn lock_released(lock: LockId) {
+    let _ = HELD_LOCKS.try_with(|held| {
+        let mut held = held.borrow_mut();
+        if let Ok(pos) = held.binary_search(&lock) {
+            held.remove(pos);
         }
     });
 }
 
-/// Lock hook: the current strand released `lock`. Lenient like
-/// [`session_lock_acquired`].
-pub(crate) fn session_lock_released(lock: LockId) {
-    let _ = SESSION.try_with(|session| {
-        if let Some(state) = session.borrow_mut().as_mut() {
-            if let Ok(pos) = state.held_locks.binary_search(&lock) {
-                state.held_locks.remove(pos);
-            }
-        }
-    });
-}
-
-/// Whether two lock sets share no lock. Both sides are sorted and
-/// deduplicated (the `held_locks` invariant, maintained identically by the
-/// serial session and the parallel monitor's thread-local lock stacks), so
-/// this is a linear merge walk that short-circuits at the first common
-/// element.
-pub(crate) fn locks_disjoint(held: &[LockId], prev: &[LockId]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < held.len() && j < prev.len() {
-        match held[i].cmp(&prev[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return false,
-        }
-    }
-    true
-}
-
-/// Whether every lock in `sub` also appears in `sup`. Sorted-merge walk
-/// over the same invariant as [`locks_disjoint`]; short-circuits as soon
-/// as an element of `sub` is missing from `sup`.
-pub(crate) fn locks_subset(sub: &[LockId], sup: &[LockId]) -> bool {
-    if sub.len() > sup.len() {
-        return false;
-    }
-    let mut j = 0;
-    for l in sub {
-        loop {
-            if j == sup.len() || sup[j] > *l {
-                return false;
-            }
-            if sup[j] == *l {
-                j += 1;
-                break;
-            }
-            j += 1;
-        }
-    }
-    true
-}
-
-struct State {
-    bags: SpBags,
-    shadow: HashMap<Location, LocState>,
-    held_locks: Vec<LockId>,
-    races: Vec<Race>,
-    /// Dedup index: canonical (location, kind) → position in `races` of
-    /// the representative entry, which keeps the minimum site pair so the
-    /// chosen representative is a function of the dag, not of which
-    /// access the monitor happened to see first.
-    seen: HashMap<(Location, RaceKind), usize>,
-    suppressed_views: u64,
-    dedup: bool,
-    structure: Option<StructureTrace>,
-}
-
-impl State {
-    fn record_structure(&mut self, event: StructureEvent) {
-        let depth = self.bags.depth() - 1;
-        if let Some(trace) = self.structure.as_mut() {
-            trace.record(depth, event);
-        }
-    }
-}
-
-impl State {
-    fn report(
-        &mut self,
-        location: Location,
-        kind: RaceKind,
-        first: Option<&'static str>,
-        second: Option<&'static str>,
-    ) {
-        // Canonical form at insertion (see `report::canonical`): the
-        // serial observation order of the two racers is as much a
-        // schedule artifact as the parallel one, and canonicalizing here
-        // keeps the dedup key and the representative's site pair
-        // identical between this oracle and the parallel monitor.
-        let (kind, first, second) = crate::report::canonical(kind, first, second);
-        let race = Race { location, kind, first_site: first, second_site: second };
-        if !self.dedup {
-            self.races.push(race);
-            return;
-        }
-        match self.seen.entry((location, kind)) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(self.races.len());
-                self.races.push(race);
-            }
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                let existing = &mut self.races[*slot.get()];
-                if (race.first_site, race.second_site)
-                    < (existing.first_site, existing.second_site)
-                {
-                    *existing = race;
-                }
-            }
-        }
-    }
-
-    /// Inserts `access` into `entries`, pruning entries *dominated* by it:
-    /// an old entry (p, L) may be dropped when p ≺ current (its set is an
-    /// S-bag) and L ⊇ current locks — every future access that would race
-    /// with the old entry then also races with the new one. (Future
-    /// accesses come after `current` in the serial order, so they are
-    /// never `≺ current`; combined with p ≺ current, parallelism with p
-    /// implies parallelism with current.)
-    fn insert_pruned(bags: &mut SpBags, entries: &mut Vec<Access>, access: Access) {
-        entries.retain(|e| {
-            let serial = !bags.is_parallel_with_current(e.proc);
-            !(serial && locks_subset(&access.locks, &e.locks))
-        });
-        entries.push(access);
-    }
-
-    fn on_write(&mut self, location: Location, site: Option<&'static str>) {
-        self.record_structure(StructureEvent::Write(location, site));
-        let current = self.bags.current_procedure();
-        let state = self.shadow.entry(location).or_default();
-        let mut found: Vec<(RaceKind, Option<&'static str>)> = Vec::new();
-        for w in state.writers.clone() {
-            if self.bags.is_parallel_with_current(w.proc)
-                && locks_disjoint(&self.held_locks, &w.locks)
-            {
-                found.push((RaceKind::WriteWrite, w.site));
-                break; // one representative per kind suffices
-            }
-        }
-        for r in state.readers.clone() {
-            if self.bags.is_parallel_with_current(r.proc)
-                && locks_disjoint(&self.held_locks, &r.locks)
-            {
-                found.push((RaceKind::ReadWrite, r.site));
-                break;
-            }
-        }
-        let access = Access { proc: current, locks: self.held_locks.clone(), site };
-        let state = self.shadow.get_mut(&location).expect("entry created above");
-        Self::insert_pruned(&mut self.bags, &mut state.writers, access);
-        for (kind, first) in found {
-            self.report(location, kind, first, site);
-        }
-    }
-
-    fn on_read(&mut self, location: Location, site: Option<&'static str>) {
-        self.record_structure(StructureEvent::Read(location, site));
-        let current = self.bags.current_procedure();
-        let state = self.shadow.entry(location).or_default();
-        let mut found: Option<(RaceKind, Option<&'static str>)> = None;
-        for w in state.writers.clone() {
-            if self.bags.is_parallel_with_current(w.proc)
-                && locks_disjoint(&self.held_locks, &w.locks)
-            {
-                found = Some((RaceKind::WriteRead, w.site));
-                break;
-            }
-        }
-        let access = Access { proc: current, locks: self.held_locks.clone(), site };
-        let state = self.shadow.get_mut(&location).expect("entry created above");
-        Self::insert_pruned(&mut self.bags, &mut state.readers, access);
-        if let Some((kind, first)) = found {
-            self.report(location, kind, first, site);
-        }
-    }
+/// A snapshot of this thread's lock set, for one access record.
+pub(crate) fn held_locks() -> Vec<LockId> {
+    HELD_LOCKS.try_with(|held| held.borrow().clone()).unwrap_or_default()
 }
 
 /// Handle through which the monitored program performs its actions.
@@ -573,24 +347,28 @@ impl std::fmt::Debug for Execution<'_> {
 }
 
 impl Execution<'_> {
+    fn new() -> Self {
+        Execution { _marker: std::marker::PhantomData }
+    }
+
     /// Records a read of `location` by the current strand.
     pub fn read(&mut self, location: Location) {
-        with_state(|state| state.on_read(location, None));
+        with_state(|state| state.access(location, false, None));
     }
 
     /// Records a labeled read (the label localizes races in reports).
     pub fn read_at(&mut self, location: Location, site: &'static str) {
-        with_state(|state| state.on_read(location, Some(site)));
+        with_state(|state| state.access(location, false, Some(site)));
     }
 
     /// Records a write of `location` by the current strand.
     pub fn write(&mut self, location: Location) {
-        with_state(|state| state.on_write(location, None));
+        with_state(|state| state.access(location, true, None));
     }
 
     /// Records a labeled write.
     pub fn write_at(&mut self, location: Location, site: &'static str) {
-        with_state(|state| state.on_write(location, Some(site)));
+        with_state(|state| state.access(location, true, Some(site)));
     }
 
     /// Spawns `child` as a Cilk procedure: it executes now (serial order),
@@ -601,17 +379,9 @@ impl Execution<'_> {
     where
         F: FnOnce(&mut Execution<'_>),
     {
-        with_state(|state| {
-            state.record_structure(StructureEvent::Spawn);
-            state.bags.spawn_procedure();
-        });
-        let mut child_exec = Execution { _marker: std::marker::PhantomData };
-        child(&mut child_exec);
-        with_state(|state| {
-            state.bags.sync(); // the child's own implicit sync
-            state.bags.return_procedure();
-            state.record_structure(StructureEvent::Return);
-        });
+        with_state(State::spawn);
+        child(&mut Execution::new());
+        with_state(State::ret);
     }
 
     /// Calls `f` as an ordinary (non-spawned) procedure: serial semantics,
@@ -620,17 +390,13 @@ impl Execution<'_> {
     where
         F: FnOnce(&mut Execution<'_>),
     {
-        let mut inner = Execution { _marker: std::marker::PhantomData };
-        f(&mut inner);
+        f(&mut Execution::new());
     }
 
     /// Executes a `cilk_sync`: all outstanding spawned children of the
     /// current procedure become serial with what follows.
     pub fn sync(&mut self) {
-        with_state(|state| {
-            state.record_structure(StructureEvent::Sync);
-            state.bags.sync();
-        });
+        with_state(State::sync);
     }
 
     /// Runs `body` while holding `lock`; logically parallel accesses that
@@ -643,24 +409,9 @@ impl Execution<'_> {
     where
         F: FnOnce(&mut Execution<'_>),
     {
-        with_state(|state| {
-            // Sorted insertion keeps `held_locks` ordered and duplicate-free
-            // so lock-set snapshots compare as linear merges and reports do
-            // not depend on acquisition order.
-            match state.held_locks.binary_search(&lock) {
-                Ok(_) => panic!("lock {lock:?} is already held (recursive locking)"),
-                Err(pos) => state.held_locks.insert(pos, lock),
-            }
-        });
-        let mut inner = Execution { _marker: std::marker::PhantomData };
-        body(&mut inner);
-        with_state(|state| {
-            let pos = state
-                .held_locks
-                .binary_search(&lock)
-                .expect("released lock not held");
-            state.held_locks.remove(pos);
-        });
+        assert!(insert_lock(lock), "lock {lock:?} is already held (recursive locking)");
+        body(&mut Execution::new());
+        lock_released(lock);
     }
 
     /// Emulates `cilk_for i in 0..n`: a balanced divide-and-conquer spawn
@@ -695,6 +446,7 @@ impl Execution<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::RaceKind;
 
     #[test]
     fn race_free_serial_program() {
@@ -845,10 +597,6 @@ mod tests {
             e.par_for(32, |e, _| e.write(loc));
         });
         assert_eq!(report.races.len(), 1, "deduped to one per (loc, kind)");
-        let report_all = Detector::new().report_all_occurrences().run(|e| {
-            e.par_for(32, |e, _| e.write(loc));
-        });
-        assert!(report_all.races.len() > 1);
     }
 
     #[test]
@@ -904,8 +652,7 @@ mod tests {
 
     #[test]
     fn plain_run_records_nothing() {
-        // Without record_structure the trace machinery must stay inert
-        // (and cost nothing); exercised via run().
+        // A plain run records no trace; exercised via run().
         let report = Detector::new().run(|e| {
             e.spawn(|e| e.write(Location(1)));
             e.sync();
@@ -921,5 +668,21 @@ mod tests {
                 e.with_lock(LockId(1), |_| {});
             });
         });
+    }
+
+    #[test]
+    fn lock_set_is_sorted_idempotent_and_per_session() {
+        lock_acquired(LockId(5));
+        assert!(held_locks().is_empty(), "no session: nothing recorded");
+        let _ = Detector::new().run(|_| {
+            lock_acquired(LockId(9));
+            lock_acquired(LockId(3));
+            lock_acquired(LockId(9));
+            assert_eq!(held_locks(), vec![LockId(3), LockId(9)]);
+            lock_released(LockId(3));
+            lock_released(LockId(3));
+            assert_eq!(held_locks(), vec![LockId(9)]);
+        });
+        assert!(held_locks().is_empty(), "a session's locks end with it");
     }
 }

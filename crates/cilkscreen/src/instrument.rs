@@ -18,8 +18,9 @@
 //!   metrics, fault logging, or a Cilkview profile of the same process.
 //! * **Memory** — loads and stores cannot be intercepted at the binary
 //!   level in safe Rust, so tracked data ([`Shadow`], [`ShadowSlice`])
-//!   reports its own accesses to shadow memory, like the `RefCell`-based
-//!   [`crate::TraceCell`]/[`crate::TraceVec`] but `Sync`, so real
+//!   reports its own accesses to whichever session is active: a
+//!   [`Detector::run`] replay, [`run_monitored`] or
+//!   [`run_monitored_parallel`]. The containers are `Sync`, so real
 //!   (potentially parallel) runtime closures can capture them.
 //! * **Suppression** — `cilk::sync::Mutex` emits `LockAcquired`/
 //!   `LockReleased` probe events feeding the ALL-SETS lockset logic
@@ -51,6 +52,7 @@
 //! ```
 
 use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cilk_runtime::probe::{self, EventMask, Probe, ProbeEvent, ProbeHandle};
@@ -58,26 +60,35 @@ use cilk_runtime::probe::{self, EventMask, Probe, ProbeEvent, ProbeHandle};
 use crate::detector;
 use crate::report::{Location, LockId, Report};
 use crate::shadow;
-use crate::structure::StructureTrace;
-use crate::trace::{fresh_base, STRUCTURE};
 use crate::Detector;
 
-/// The detector as one probe consumer. `serial_capture` makes monitored
-/// constructs run as their serial elision on session threads; structure,
-/// reducer-view and lock events map onto the SP-bags session state.
-struct ScreenProbe;
+/// The detector as a probe consumer, registered once per session kind.
+/// Both map reducer-view and lock events onto the same per-thread hooks.
+/// The serial one (`serial: true`) makes monitored constructs run as their
+/// serial elision on session threads and feeds their structure events to
+/// SP-bags. The parallel one leaves spawning constructs their real
+/// parallel semantics and is active exactly on threads executing an
+/// SP-labeled strand; structure travels in the labels themselves.
+struct ScreenProbe {
+    serial: bool,
+}
 
 impl Probe for ScreenProbe {
     fn mask(&self) -> EventMask {
-        EventMask::STRAND | EventMask::VIEW | EventMask::LOCK
+        let strand = if self.serial { EventMask::STRAND } else { EventMask::NONE };
+        strand | EventMask::VIEW | EventMask::LOCK
     }
 
     fn serial_capture(&self) -> bool {
-        true
+        self.serial
     }
 
     fn active(&self) -> bool {
-        detector::session_active()
+        if self.serial {
+            detector::session_active()
+        } else {
+            probe::sp_session_active()
+        }
     }
 
     fn on_event(&self, event: &ProbeEvent) {
@@ -85,62 +96,23 @@ impl Probe for ScreenProbe {
             ProbeEvent::SpawnBegin { .. } => detector::session_spawn(),
             ProbeEvent::SpawnEnd { .. } => detector::session_return(),
             ProbeEvent::Sync { .. } => detector::session_sync(),
-            ProbeEvent::ViewAccessBegin { reducer } => detector::view_enter(reducer),
-            ProbeEvent::ViewAccessEnd { reducer } => detector::view_exit(reducer),
-            ProbeEvent::LockAcquired { lock } => detector::session_lock_acquired(LockId(lock)),
-            ProbeEvent::LockReleased { lock } => detector::session_lock_released(LockId(lock)),
+            ProbeEvent::ViewAccessBegin { .. } => detector::view_enter(),
+            ProbeEvent::ViewAccessEnd { .. } => detector::suppression_exit(),
+            ProbeEvent::LockAcquired { lock } => detector::lock_acquired(LockId(lock)),
+            ProbeEvent::LockReleased { lock } => detector::lock_released(LockId(lock)),
             _ => {}
         }
     }
 }
 
-/// The process-wide registration of [`ScreenProbe`] (the consumer is
-/// inert on threads without an active session, so it is registered once
-/// and kept).
-static DETECTOR_PROBE: OnceLock<ProbeHandle> = OnceLock::new();
+/// The process-wide registrations of the two consumers, indexed by
+/// `serial` (each is inert on threads without its session, so it is
+/// registered once and kept).
+static PROBES: [OnceLock<ProbeHandle>; 2] = [OnceLock::new(), OnceLock::new()];
 
-/// Registers the detector probe consumer (idempotent) and resets the
-/// current thread's pedigree tracker, so strand stamps replay identically
-/// across repeated monitoring sessions.
-fn install_hooks() {
-    DETECTOR_PROBE.get_or_init(|| probe::register(Arc::new(ScreenProbe)));
-    probe::pedigree_reset();
-}
-
-/// The parallel monitor as a probe consumer. No `serial_capture` — that
-/// is the point: spawning constructs keep their real parallel semantics
-/// and the consumer is active exactly on threads currently executing an
-/// SP-labeled strand. Only view and lock events are needed; structure
-/// travels in the labels themselves, and memory accesses reach the
-/// concurrent shadow map directly from the tracked containers.
-struct ParScreenProbe;
-
-impl Probe for ParScreenProbe {
-    fn mask(&self) -> EventMask {
-        EventMask::VIEW | EventMask::LOCK
-    }
-
-    fn active(&self) -> bool {
-        probe::sp_session_active()
-    }
-
-    fn on_event(&self, event: &ProbeEvent) {
-        match *event {
-            ProbeEvent::ViewAccessBegin { .. } => shadow::par_view_enter(),
-            ProbeEvent::ViewAccessEnd { .. } => shadow::par_view_exit(),
-            ProbeEvent::LockAcquired { lock } => shadow::par_lock_acquired(LockId(lock)),
-            ProbeEvent::LockReleased { lock } => shadow::par_lock_released(LockId(lock)),
-            _ => {}
-        }
-    }
-}
-
-/// The process-wide registration of [`ParScreenProbe`]; like
-/// [`DETECTOR_PROBE`], registered once and kept (inert off-session).
-static PAR_PROBE: OnceLock<ProbeHandle> = OnceLock::new();
-
-fn install_par_hooks() {
-    PAR_PROBE.get_or_init(|| probe::register(Arc::new(ParScreenProbe)));
+/// Registers the consumer for one session kind (idempotent).
+fn install_hooks(serial: bool) {
+    PROBES[serial as usize].get_or_init(|| probe::register(Arc::new(ScreenProbe { serial })));
 }
 
 /// Runs real platform code under the race detector and returns its value
@@ -161,28 +133,10 @@ pub fn run_monitored<F, R>(program: F) -> (R, Report)
 where
     F: FnOnce() -> R,
 {
-    install_hooks();
+    install_hooks(true);
+    // Strand stamps replay identically across repeated sessions.
+    probe::pedigree_reset();
     Detector::new().monitor(program)
-}
-
-/// Like [`run_monitored`], but with a caller-configured [`Detector`]
-/// (e.g. [`Detector::report_all_occurrences`]).
-pub fn run_monitored_with<F, R>(detector: Detector, program: F) -> (R, Report)
-where
-    F: FnOnce() -> R,
-{
-    install_hooks();
-    detector.monitor(program)
-}
-
-/// Like [`run_monitored`], but additionally returns the recorded
-/// [`StructureTrace`] of the monitored execution.
-pub fn run_monitored_traced<F, R>(program: F) -> (R, Report, StructureTrace)
-where
-    F: FnOnce() -> R,
-{
-    install_hooks();
-    Detector::new().monitor_traced(program)
 }
 
 /// Runs real platform code under the **parallel** race detector: the
@@ -208,7 +162,7 @@ where
     F: FnOnce() -> R + Send,
     R: Send,
 {
-    install_par_hooks();
+    install_hooks(false);
     let session = shadow::ParSession::begin();
     let value = pool.install(|| probe::with_sp_root(program));
     (value, session.finish())
@@ -236,33 +190,39 @@ pub fn suppress<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Reports that the current strand acquired `lock`. Called by
-/// `cilk::sync::Mutex`; custom lock types can call it too. Feeds the
-/// serial session's lock set and, on labeled strands, the parallel
-/// monitor's thread-local lock stack (idempotent on re-entry, so a lock
-/// that both emits probe events and calls this directly stays
-/// consistent). No-op without an active session on this thread.
+/// Reports that the current strand acquired `lock`. `cilk::sync::Mutex`
+/// reports through probe events; custom lock types can call this. Feeds
+/// the thread's lock set while a serial session or a labeled parallel
+/// strand is active on it (idempotent on re-entry, so a lock that both
+/// emits probe events and calls this directly stays consistent). No-op
+/// otherwise.
 pub fn lock_acquired(lock: LockId) {
-    detector::session_lock_acquired(lock);
-    if probe::sp_session_active() {
-        shadow::par_lock_acquired(lock);
-    }
+    detector::lock_acquired(lock);
 }
 
 /// Reports that the current strand released `lock` (see [`lock_acquired`]).
 pub fn lock_released(lock: LockId) {
-    detector::session_lock_released(lock);
-    if probe::sp_session_active() {
-        shadow::par_lock_released(lock);
-    }
+    detector::lock_released(lock);
 }
+
+static NEXT_CONTAINER: AtomicU64 = AtomicU64::new(1);
+
+/// Allocates a fresh logical container id: the high 32 bits of every
+/// location the container reports, so two containers never alias.
+fn fresh_base() -> u64 {
+    NEXT_CONTAINER.fetch_add(1, Ordering::Relaxed) << 32
+}
+
+/// The low 32 bits of a location: the element index within its container.
+const INDEX_MASK: u64 = 0xFFFF_FFFF;
 
 /// A tracked memory cell usable from real runtime closures.
 ///
-/// The `Sync` sibling of [`crate::TraceCell`]: every access reports to the
-/// active detector session, and the value lives in an [`UnsafeCell`] so
-/// shared references can be captured by the `Send` closures of
-/// `cilk_runtime::join`/`scope`.
+/// Every access reports to the active detector session, and the value
+/// lives in an [`UnsafeCell`] so shared references can be captured by the
+/// `Send` closures of `cilk_runtime::join`/`scope`. A `Shadow<Vec<T>>`
+/// updated through [`Shadow::update`] is a tracked shared list: two
+/// logically parallel pushes race (the bug of the paper's Fig. 5).
 ///
 /// # Safety model
 ///
@@ -315,21 +275,21 @@ impl<T> Shadow<T> {
     where
         T: Copy,
     {
-        detector::record_read(self.location(), self.site);
+        detector::record(self.location(), false, self.site);
         // SAFETY: see the type-level safety model.
         shadow::with_cell_lock(self.base, || unsafe { *self.value.get() })
     }
 
     /// Replaces the value (reported as a write).
     pub fn set(&self, value: T) {
-        detector::record_write(self.location(), self.site);
+        detector::record(self.location(), true, self.site);
         // SAFETY: see the type-level safety model.
         shadow::with_cell_lock(self.base, || unsafe { *self.value.get() = value })
     }
 
     /// Applies `f` to a shared borrow (reported as a read).
     pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        detector::record_read(self.location(), self.site);
+        detector::record(self.location(), false, self.site);
         // SAFETY: see the type-level safety model.
         shadow::with_cell_lock(self.base, || f(unsafe { &*self.value.get() }))
     }
@@ -337,8 +297,8 @@ impl<T> Shadow<T> {
     /// Read-modify-write through `f` (reported as a read then a write,
     /// physically atomic under parallel monitoring).
     pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        detector::record_read(self.location(), self.site);
-        detector::record_write(self.location(), self.site);
+        detector::record(self.location(), false, self.site);
+        detector::record(self.location(), true, self.site);
         // SAFETY: see the type-level safety model.
         shadow::with_cell_lock(self.base, || f(unsafe { &mut *self.value.get() }))
     }
@@ -361,9 +321,8 @@ impl<T: Default> Default for Shadow<T> {
     }
 }
 
-/// A tracked fixed-length slice usable from real runtime closures — the
-/// `Sync` sibling of [`crate::TraceVec`], for array workloads (sorting,
-/// matrices) running on the real runtime.
+/// A tracked fixed-length slice usable from real runtime closures, for
+/// array workloads (sorting, matrices) running on the real runtime.
 ///
 /// Element accesses report per-index logical locations, so disjoint
 /// parallel index ranges are race-free while overlapping ones (the §4
@@ -383,7 +342,7 @@ impl<T> ShadowSlice<T> {
     /// Creates a tracked slice from `items`, at a fresh logical base.
     pub fn from_vec(items: Vec<T>) -> Self {
         let items = items.into_boxed_slice();
-        assert!((items.len() as u64) < STRUCTURE, "slice too large to track");
+        assert!((items.len() as u64) < INDEX_MASK, "slice too large to track");
         ShadowSlice {
             base: fresh_base(),
             site: None,
@@ -418,7 +377,7 @@ impl<T> ShadowSlice<T> {
 
     /// If `location` belongs to this slice, the element index it names.
     pub fn index_of(&self, location: Location) -> Option<usize> {
-        let (base, index) = (location.0 & !STRUCTURE, location.0 & STRUCTURE);
+        let (base, index) = (location.0 & !INDEX_MASK, location.0 & INDEX_MASK);
         (base == self.base && (index as usize) < self.len).then_some(index as usize)
     }
 
@@ -427,14 +386,14 @@ impl<T> ShadowSlice<T> {
     where
         T: Copy,
     {
-        detector::record_read(self.location_of(index), self.site);
+        detector::record(self.location_of(index), false, self.site);
         // SAFETY: see `Shadow`'s safety model; index checked by location_of.
         shadow::with_cell_lock(self.base, || unsafe { (*self.items.get())[index] })
     }
 
     /// Writes element `index` (reported).
     pub fn set(&self, index: usize, value: T) {
-        detector::record_write(self.location_of(index), self.site);
+        detector::record(self.location_of(index), true, self.site);
         // SAFETY: see `Shadow`'s safety model; index checked by location_of.
         shadow::with_cell_lock(self.base, || unsafe { (*self.items.get())[index] = value })
     }
@@ -443,10 +402,10 @@ impl<T> ShadowSlice<T> {
     /// one stripe lock covers the whole exchange under parallel
     /// monitoring — both elements live in this container).
     pub fn swap(&self, a: usize, b: usize) {
-        detector::record_read(self.location_of(a), self.site);
-        detector::record_read(self.location_of(b), self.site);
-        detector::record_write(self.location_of(a), self.site);
-        detector::record_write(self.location_of(b), self.site);
+        detector::record(self.location_of(a), false, self.site);
+        detector::record(self.location_of(b), false, self.site);
+        detector::record(self.location_of(a), true, self.site);
+        detector::record(self.location_of(b), true, self.site);
         // SAFETY: see `Shadow`'s safety model; indices checked above.
         shadow::with_cell_lock(self.base, || unsafe { (*self.items.get()).swap(a, b) })
     }
@@ -609,9 +568,9 @@ mod tests {
     }
 
     #[test]
-    fn monitored_value_and_trace_round_trip() {
+    fn monitored_value_round_trips() {
         let slice: ShadowSlice<u32> = (0..4).collect();
-        let (sum, report, trace) = run_monitored_traced(|| {
+        let (sum, report) = run_monitored(|| {
             let (a, b) = cilk_runtime::join(
                 || slice.get(0) + slice.get(1),
                 || slice.get(2) + slice.get(3),
@@ -620,7 +579,48 @@ mod tests {
         });
         assert_eq!(sum, 6);
         assert!(report.is_race_free());
-        assert_eq!(trace.spawn_count(), 1);
+    }
+
+    #[test]
+    fn parallel_pushes_to_a_shared_vec_race_like_fig5() {
+        let list = Shadow::named(Vec::new(), "list");
+        let ((), report) = run_monitored(|| {
+            cilk_runtime::join(|| list.update(|l| l.push(1)), || list.update(|l| l.push(2)));
+        });
+        assert_eq!(report.race_locations(), vec![list.location()], "{report}");
+        // A length read parallel with a push races too.
+        let ((), report) = run_monitored(|| {
+            cilk_runtime::join(|| list.update(|l| l.push(3)), || list.read(Vec::len));
+        });
+        assert!(!report.is_race_free());
+        assert_eq!(list.into_inner(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn shadow_reports_to_a_dsl_session() {
+        let cell = Shadow::new(0u32);
+        let racy = Detector::new().run(|e| {
+            e.spawn(|_| cell.update(|v| *v += 1));
+            cell.update(|v| *v += 1);
+            e.sync();
+        });
+        assert!(!racy.is_race_free());
+        let synced = Detector::new().run(|e| {
+            e.spawn(|_| cell.update(|v| *v += 1));
+            e.sync();
+            cell.update(|v| *v += 1);
+        });
+        assert!(synced.is_race_free(), "{synced}");
+        assert_eq!(cell.get(), 4);
+    }
+
+    #[test]
+    fn swap_reports_both_elements() {
+        let slice: ShadowSlice<u32> = (0..4).collect();
+        let ((), report) = run_monitored(|| {
+            cilk_runtime::join(|| slice.swap(0, 1), || slice.set(1, 9));
+        });
+        assert_eq!(report.race_locations(), vec![slice.location_of(1)], "{report}");
     }
 
     #[test]

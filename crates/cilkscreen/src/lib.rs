@@ -19,6 +19,9 @@
 //!   schedule, so the detector can watch *real multi-worker executions*
 //!   instead of the serial elision.
 //!
+//! Both monitors share one ALL-SETS access history; only the reachability
+//! oracle (SP-bags or SP-order) and the location map differ between them.
+//!
 //! # Example
 //!
 //! The paper's §4 example: replacing line 13 of the Fig. 1 quicksort with
@@ -40,20 +43,20 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod detector;
 pub mod eraser;
+mod history;
 pub mod instrument;
 mod report;
 mod shadow;
 pub mod spbags;
 pub mod sporder;
 mod structure;
-mod trace;
 pub mod union_find;
 
 pub use detector::{Detector, Execution};
 pub use instrument::{Shadow, ShadowSlice};
 pub use report::{Location, LockId, Race, RaceKind, Report};
 pub use structure::{StructureEvent, StructureTrace};
-pub use trace::{TraceCell, TraceVec};

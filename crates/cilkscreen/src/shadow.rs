@@ -1,10 +1,10 @@
-//! Concurrent shadow memory: the parallel monitor's access history.
+//! Concurrent shadow memory: the parallel monitor's session.
 //!
-//! The serial detector ([`crate::detector`]) owns its shadow map outright
-//! — one thread, one session, plain `HashMap`. This module is the same
-//! ALL-SETS discipline made safe for **real multi-worker executions**:
+//! The access history itself ([`crate::history`]) is shared with the
+//! serial detector; this module is what makes it safe for **real
+//! multi-worker executions**:
 //!
-//! * the access-history map is sharded by location hash, each shard a
+//! * the location map is sharded by location hash, each shard a
 //!   `Mutex<HashMap<Location, LocState>>`, so strands on different
 //!   workers only contend when they touch locations that hash together;
 //! * each recorded access carries the strand's SP-order label
@@ -14,84 +14,31 @@
 //! * the check-then-insert of an access runs entirely under its shard
 //!   lock, so two racing strands cannot both miss each other's entry:
 //!   whichever gets the lock second sees the first and reports;
-//! * race reports funnel into one mutex-protected sink that
-//!   canonicalizes and deduplicates at insertion, keeping the chosen
-//!   representative a function of the dag rather than the schedule.
+//! * race reports funnel into one mutex-protected sink.
 //!
 //! One session at a time, process-wide (the serial detector's session is
 //! per-thread): [`ParSession::begin`] takes a global exclusivity lock so
 //! concurrent monitored runs queue instead of interleaving histories.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
-use cilk_runtime::probe::{self, SpLabel, SpRel};
+use cilk_runtime::probe::{self, SpLabel};
 
-use crate::detector::{locks_disjoint, locks_subset};
-use crate::report::{Location, LockId, Race, RaceKind, Report};
+use crate::detector::held_locks;
+use crate::history::{LocState, RaceSink, SpOrder};
+use crate::report::{Location, LockId, Report};
 
 /// Shard count for the access-history map. Power of two; 64 shards keep
 /// contention negligible at the worker counts this runtime targets (≤ a
 /// few dozen) without bloating an idle session.
 const SHARDS: usize = 64;
 
-/// One recorded access by a labeled strand.
-#[derive(Debug, Clone)]
-struct ParAccess {
-    label: SpLabel,
-    locks: Vec<LockId>,
-    site: Option<&'static str>,
-}
-
-/// Per-location reader/writer access lists (ALL-SETS, as in the serial
-/// detector, but keyed by SP-order label).
-#[derive(Debug, Default)]
-struct LocState {
-    writers: Vec<ParAccess>,
-    readers: Vec<ParAccess>,
-}
-
-/// The central race sink: canonical dedup by (location, kind), keeping
-/// the minimum site pair as the representative.
-#[derive(Debug, Default)]
-struct RaceSink {
-    races: Vec<Race>,
-    seen: HashMap<(Location, RaceKind), usize>,
-}
-
-impl RaceSink {
-    fn report(
-        &mut self,
-        location: Location,
-        kind: RaceKind,
-        first: Option<&'static str>,
-        second: Option<&'static str>,
-    ) {
-        let (kind, first, second) = crate::report::canonical(kind, first, second);
-        let race = Race { location, kind, first_site: first, second_site: second };
-        match self.seen.entry((location, kind)) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(self.races.len());
-                self.races.push(race);
-            }
-            std::collections::hash_map::Entry::Occupied(slot) => {
-                let existing = &mut self.races[*slot.get()];
-                if (race.first_site, race.second_site)
-                    < (existing.first_site, existing.second_site)
-                {
-                    *existing = race;
-                }
-            }
-        }
-    }
-}
-
 /// State of one parallel monitoring session.
 #[derive(Debug)]
 struct ParState {
-    shards: Vec<Mutex<HashMap<Location, LocState>>>,
+    shards: Vec<Mutex<HashMap<Location, LocState<SpLabel>>>>,
     sink: Mutex<RaceSink>,
     suppressed_views: AtomicU64,
 }
@@ -122,101 +69,42 @@ impl ParState {
         }
     }
 
-    /// Inserts `access` into `entries`, pruning dominated entries: an old
-    /// entry may be dropped when its strand *precedes* the current one
-    /// (label relation `Before`) and its lock set is a superset of the
-    /// current locks — any future racer of the old entry then also races
-    /// with the new one. Unlike the serial detector, "not parallel" is
-    /// not enough: under real parallelism an entry observed earlier in
-    /// wall-clock time can be logically *After* the current strand, and
-    /// pruning it would forget a live racer.
-    fn insert_pruned(entries: &mut Vec<ParAccess>, access: ParAccess) {
-        entries.retain(|e| {
-            !(e.label.relation(&access.label) == SpRel::Before
-                && locks_subset(&access.locks, &e.locks))
-        });
-        entries.push(access);
-    }
-
-    fn on_write(
+    /// Checks and records one access by the strand labeled `label`. The
+    /// sink is locked only when the access found a race.
+    fn access(
         &self,
         location: Location,
+        write: bool,
         label: SpLabel,
         locks: Vec<LockId>,
         site: Option<&'static str>,
     ) {
-        let mut found: Vec<(RaceKind, Option<&'static str>)> = Vec::new();
-        {
-            let mut shard = recover(self.shards[shard_of(location)].lock());
-            let state = shard.entry(location).or_default();
-            for w in &state.writers {
-                if label.parallel_with(&w.label) && locks_disjoint(&locks, &w.locks) {
-                    found.push((RaceKind::WriteWrite, w.site));
-                    break; // one representative per kind suffices
-                }
-            }
-            for r in &state.readers {
-                if label.parallel_with(&r.label) && locks_disjoint(&locks, &r.locks) {
-                    found.push((RaceKind::ReadWrite, r.site));
-                    break;
-                }
-            }
-            Self::insert_pruned(&mut state.writers, ParAccess { label, locks, site });
-        }
-        if !found.is_empty() {
-            let mut sink = recover(self.sink.lock());
-            for (kind, first) in found {
-                sink.report(location, kind, first, site);
-            }
-        }
-    }
-
-    fn on_read(
-        &self,
-        location: Location,
-        label: SpLabel,
-        locks: Vec<LockId>,
-        site: Option<&'static str>,
-    ) {
-        let mut found: Option<(RaceKind, Option<&'static str>)> = None;
-        {
-            let mut shard = recover(self.shards[shard_of(location)].lock());
-            let state = shard.entry(location).or_default();
-            for w in &state.writers {
-                if label.parallel_with(&w.label) && locks_disjoint(&locks, &w.locks) {
-                    found = Some((RaceKind::WriteRead, w.site));
-                    break;
-                }
-            }
-            Self::insert_pruned(&mut state.readers, ParAccess { label, locks, site });
-        }
-        if let Some((kind, first)) = found {
-            recover(self.sink.lock()).report(location, kind, first, site);
+        let racers = recover(self.shards[shard_of(location)].lock())
+            .entry(location)
+            .or_default()
+            .access(&mut SpOrder, label, write, locks, site);
+        if racers.iter().any(Option::is_some) {
+            recover(self.sink.lock()).push(location, racers, site);
         }
     }
 
     fn collect_report(&self) -> Report {
-        let sink = recover(self.sink.lock());
-        let mut report = Report {
-            races: sink.races.clone(),
-            suppressed_views: self.suppressed_views.load(Ordering::Relaxed),
-        };
-        report.normalize();
-        report
+        recover(self.sink.lock()).to_report(self.suppressed_views.load(Ordering::Relaxed))
     }
 }
 
 /// The active parallel session, read by every worker on the probe path.
-/// `RwLock`, not `Mutex`: record hooks only ever read (and clone the
-/// `Arc`), so steady-state monitoring takes no exclusive lock here.
+/// `RwLock`, not `Mutex`: record hooks only ever read, so steady-state
+/// monitoring takes no exclusive lock here.
 static PAR_SESSION: RwLock<Option<Arc<ParState>>> = RwLock::new(None);
 
 /// Serializes whole sessions: two concurrent `run_monitored_parallel`
 /// calls (e.g. parallel test threads) must not share one access history.
 static PAR_EXCLUSIVE: Mutex<()> = Mutex::new(());
 
-fn current_session() -> Option<Arc<ParState>> {
-    PAR_SESSION.read().ok().and_then(|slot| slot.clone())
+/// Runs `f` against the installed parallel session, if any.
+fn with_session<R>(f: impl FnOnce(&ParState) -> R) -> Option<R> {
+    PAR_SESSION.read().ok()?.as_deref().map(f)
 }
 
 /// RAII handle for one parallel monitoring session: construction
@@ -250,76 +138,17 @@ impl Drop for ParSession {
     }
 }
 
-thread_local! {
-    /// Locks held by strands executing on this thread, sorted and
-    /// deduplicated — same invariant as the serial session's
-    /// `held_locks`, so lock-set snapshots compare as linear merges.
-    /// Thread-local is sound because a strand never migrates workers
-    /// mid-critical-section: `cilk::sync::Mutex` guards are held across
-    /// no spawn/sync boundary (documented in `docs/cilkscreen.md`).
-    static HELD_LOCKS: RefCell<Vec<LockId>> = const { RefCell::new(Vec::new()) };
+/// Counts one suppressed reducer-view access against the parallel session.
+pub(crate) fn count_view() {
+    with_session(|state| state.suppressed_views.fetch_add(1, Ordering::Relaxed));
 }
 
-/// Lock hook for the parallel session. Idempotent on re-acquisition
-/// (lenient like the serial hook: events can arrive from both the probe
-/// stream and the manual instrumentation API).
-pub(crate) fn par_lock_acquired(lock: LockId) {
-    let _ = HELD_LOCKS.try_with(|held| {
-        let mut held = held.borrow_mut();
-        if let Err(pos) = held.binary_search(&lock) {
-            held.insert(pos, lock);
-        }
-    });
-}
-
-/// Matching release of [`par_lock_acquired`]; lenient on unheld locks.
-pub(crate) fn par_lock_released(lock: LockId) {
-    let _ = HELD_LOCKS.try_with(|held| {
-        let mut held = held.borrow_mut();
-        if let Ok(pos) = held.binary_search(&lock) {
-            held.remove(pos);
-        }
-    });
-}
-
-/// Reducer-view suppression for the parallel session: counts the view
-/// access and raises the thread's suppression depth (shared with the
-/// serial detector — both sessions excuse reducer traffic identically).
-pub(crate) fn par_view_enter() {
-    if let Some(state) = current_session() {
-        state.suppressed_views.fetch_add(1, Ordering::Relaxed);
-    }
-    crate::detector::suppression_enter();
-}
-
-/// Matching exit of [`par_view_enter`].
-pub(crate) fn par_view_exit() {
-    crate::detector::suppression_exit();
-}
-
-/// Records a read against the parallel session. No-op unless the current
-/// thread is executing a labeled strand (one thread-local read when it
-/// is not) and a session is installed.
-pub(crate) fn par_record_read(location: Location, site: Option<&'static str>) {
+/// Records an access against the parallel session. No-op unless the
+/// current thread is executing a labeled strand (one thread-local read
+/// when it is not) and a session is installed.
+pub(crate) fn record(location: Location, write: bool, site: Option<&'static str>) {
     let Some(label) = probe::current_sp_label() else { return };
-    if crate::detector::suppressed() {
-        return;
-    }
-    let Some(state) = current_session() else { return };
-    let locks = HELD_LOCKS.try_with(|held| held.borrow().clone()).unwrap_or_default();
-    state.on_read(location, label, locks, site);
-}
-
-/// Records a write against the parallel session; gates like
-/// [`par_record_read`].
-pub(crate) fn par_record_write(location: Location, site: Option<&'static str>) {
-    let Some(label) = probe::current_sp_label() else { return };
-    if crate::detector::suppressed() {
-        return;
-    }
-    let Some(state) = current_session() else { return };
-    let locks = HELD_LOCKS.try_with(|held| held.borrow().clone()).unwrap_or_default();
-    state.on_write(location, label, locks, site);
+    with_session(|state| state.access(location, write, label, held_locks(), site));
 }
 
 /// Striped physical-access locks for the tracked containers.
@@ -350,51 +179,29 @@ pub(crate) fn with_cell_lock<R>(base: u64, f: impl FnOnce() -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::RaceKind;
 
-    /// Builds label pairs for "child parallel with continuation" without
-    /// running a pool: root forks once inside an sp root.
-    fn forked_labels() -> (SpLabel, SpLabel, SpLabel) {
+    /// Labels for "child parallel with continuation" without running a
+    /// pool: root forks once inside an sp root.
+    fn forked_labels() -> (SpLabel, SpLabel) {
         probe::with_sp_root(|| {
-            let root = probe::current_sp_label().expect("root");
-            let (child, cont) = cilk_runtime::join(
+            cilk_runtime::join(
                 || probe::current_sp_label().expect("child"),
                 || probe::current_sp_label().expect("cont"),
-            );
-            (root, child, cont)
+            )
         })
     }
 
     #[test]
     fn concurrent_history_reports_parallel_write_write() {
-        let (_, child, cont) = forked_labels();
+        let (child, cont) = forked_labels();
         let state = ParState::new();
         let loc = Location(0x10);
-        state.on_write(loc, child, Vec::new(), Some("a"));
-        state.on_write(loc, cont, Vec::new(), Some("b"));
+        state.access(loc, true, child, Vec::new(), Some("a"));
+        state.access(loc, true, cont, Vec::new(), Some("b"));
         let report = state.collect_report();
         assert_eq!(report.races.len(), 1);
         assert_eq!(report.races[0].kind, RaceKind::WriteWrite);
-    }
-
-    #[test]
-    fn serial_strands_do_not_race() {
-        let (root, child, _) = forked_labels();
-        let state = ParState::new();
-        let loc = Location(0x10);
-        state.on_write(loc, root, Vec::new(), Some("before"));
-        state.on_write(loc, child, Vec::new(), Some("child"));
-        assert!(state.collect_report().is_race_free());
-    }
-
-    #[test]
-    fn common_lock_suppresses_parallel_race() {
-        let (_, child, cont) = forked_labels();
-        let state = ParState::new();
-        let loc = Location(0x10);
-        let lock = vec![LockId(7)];
-        state.on_write(loc, child, lock.clone(), Some("a"));
-        state.on_write(loc, cont, lock, Some("b"));
-        assert!(state.collect_report().is_race_free());
     }
 
     #[test]
@@ -402,11 +209,11 @@ mod tests {
         // Under real parallelism the continuation's access can reach the
         // shadow map before the child's: detection must not depend on
         // observation order.
-        let (_, child, cont) = forked_labels();
+        let (child, cont) = forked_labels();
         let state = ParState::new();
         let loc = Location(0x10);
-        state.on_write(loc, cont, Vec::new(), Some("cont"));
-        state.on_read(loc, child, Vec::new(), Some("child"));
+        state.access(loc, true, cont, Vec::new(), Some("cont"));
+        state.access(loc, false, child, Vec::new(), Some("child"));
         let report = state.collect_report();
         assert_eq!(report.races.len(), 1);
         assert_eq!(report.races[0].kind, RaceKind::WriteRead);
@@ -414,55 +221,12 @@ mod tests {
     }
 
     #[test]
-    fn dominated_entries_are_pruned_but_after_entries_survive() {
-        let (root, child, cont) = forked_labels();
-        let state = ParState::new();
-        let loc = Location(0x10);
-        // `cont` is observed first; `root` (logically Before cont) must
-        // NOT prune it, or the child-vs-cont race would be forgotten.
-        state.on_write(loc, cont.clone(), Vec::new(), Some("cont"));
-        state.on_write(loc, root, Vec::new(), Some("root"));
-        {
-            let shard = recover(state.shards[shard_of(loc)].lock());
-            let entries = &shard.get(&loc).expect("entry").writers;
-            assert_eq!(entries.len(), 2, "After-entry survives, Before-entry pruned is n/a here");
-        }
-        state.on_write(loc, child, Vec::new(), Some("child"));
-        let report = state.collect_report();
-        assert_eq!(report.races.len(), 1, "child races with cont (root is serial with both)");
-    }
-
-    #[test]
-    fn sink_dedups_to_canonical_min_site() {
-        let mut sink = RaceSink::default();
-        let loc = Location(0x20);
-        sink.report(loc, RaceKind::WriteWrite, Some("z"), Some("y"));
-        sink.report(loc, RaceKind::WriteWrite, Some("b"), Some("a"));
-        assert_eq!(sink.races.len(), 1);
-        assert_eq!(sink.races[0].first_site, Some("a"));
-        assert_eq!(sink.races[0].second_site, Some("b"));
-    }
-
-    #[test]
     fn session_installs_and_clears() {
-        assert!(current_session().is_none());
+        assert!(with_session(|_| ()).is_none());
         let session = ParSession::begin();
-        assert!(current_session().is_some());
+        assert!(with_session(|_| ()).is_some());
         let report = session.finish();
         assert!(report.is_race_free());
-        assert!(current_session().is_none());
-    }
-
-    #[test]
-    fn held_locks_stay_sorted_and_idempotent() {
-        par_lock_acquired(LockId(9));
-        par_lock_acquired(LockId(3));
-        par_lock_acquired(LockId(9));
-        HELD_LOCKS.with(|held| assert_eq!(*held.borrow(), vec![LockId(3), LockId(9)]));
-        par_lock_released(LockId(3));
-        par_lock_released(LockId(3));
-        HELD_LOCKS.with(|held| assert_eq!(*held.borrow(), vec![LockId(9)]));
-        par_lock_released(LockId(9));
-        HELD_LOCKS.with(|held| assert!(held.borrow().is_empty()));
+        assert!(with_session(|_| ()).is_none());
     }
 }

@@ -35,8 +35,10 @@ pub struct Mutex<T: ?Sized> {
     value: UnsafeCell<T>,
 }
 
-// SAFETY: the lock provides the required exclusion.
+// SAFETY: moving the mutex moves the `T: Send` it owns.
 unsafe impl<T: ?Sized + Send> Send for Mutex<T> {}
+// SAFETY: the lock provides the required exclusion: `&T`/`&mut T` are only
+// reachable through a guard, one holder at a time, so `T: Send` suffices.
 unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}
 
 impl<T> Mutex<T> {

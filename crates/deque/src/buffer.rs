@@ -25,12 +25,12 @@ impl<T> Buffer<T> {
     pub(crate) fn alloc(cap: usize) -> Box<Self> {
         assert!(cap > 0 && cap.is_power_of_two(), "capacity must be a power of two");
         let layout = Layout::array::<T>(cap).expect("buffer layout overflow");
-        // SAFETY: `layout` has non-zero size because `cap > 0` and
-        // zero-sized `T` is handled by `Layout::array` returning a
-        // zero-size layout; guard that case with a dangling pointer.
+        // A zero-sized `T` gets a zero-size layout: no allocation, and a
+        // dangling pointer is a valid pointer to every slot.
         let ptr = if layout.size() == 0 {
             ptr::NonNull::<T>::dangling().as_ptr()
         } else {
+            // SAFETY: `layout` has non-zero size (checked just above).
             let raw = unsafe { alloc::alloc(layout) };
             if raw.is_null() {
                 alloc::handle_alloc_error(layout);
@@ -98,9 +98,11 @@ mod tests {
     fn roundtrip_within_capacity() {
         let buf = Buffer::<u64>::alloc(8);
         for i in 0..8 {
+            // SAFETY: one thread owns the buffer; slot `i` is empty.
             unsafe { buf.write(i, i as u64 * 10) };
         }
         for i in 0..8 {
+            // SAFETY: slot `i` holds the value written above, read once.
             assert_eq!(unsafe { buf.read(i) }, i as u64 * 10);
         }
     }
@@ -108,15 +110,19 @@ mod tests {
     #[test]
     fn wraps_modulo_capacity() {
         let buf = Buffer::<u32>::alloc(4);
+        // SAFETY: one thread owns the buffer; the slot is empty.
         unsafe { buf.write(5, 55) };
         // index 5 and index 1 share a slot when cap = 4
+        // SAFETY: that slot holds the `u32` just written, read once.
         assert_eq!(unsafe { buf.read(1) }, 55);
     }
 
     #[test]
     fn negative_indices_wrap() {
         let buf = Buffer::<u32>::alloc(4);
+        // SAFETY: one thread owns the buffer; the slot is empty.
         unsafe { buf.write(-1, 99) };
+        // SAFETY: index 3 is the slot index -1 wrote, read once.
         assert_eq!(unsafe { buf.read(3) }, 99);
     }
 
@@ -129,7 +135,9 @@ mod tests {
     #[test]
     fn zero_sized_elements() {
         let buf = Buffer::<()>::alloc(16);
+        // SAFETY: one thread owns the buffer; `()` needs no memory.
         unsafe { buf.write(3, ()) };
+        // SAFETY: slot 3 holds the `()` just written, read once.
         unsafe { buf.read(3) };
         assert_eq!(buf.cap(), 16);
     }

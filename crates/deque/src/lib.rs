@@ -50,6 +50,8 @@
 //! assert_eq!(worker.pop(), None);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod buffer;
 
 use std::cell::Cell;
@@ -161,6 +163,10 @@ struct Inner<T> {
 // the Chase–Lev protocol; `T: Send` is required because elements move
 // between threads.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: shared access goes through atomics (`top`, `bottom`, `buffer`)
+// and the `retired` mutex; a slot's `T` is moved out by exactly one thread,
+// the one whose CAS on `top` (or owner pop) claimed it, so `T: Send` is
+// enough — no `&T` is ever shared.
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 impl<T> Inner<T> {
@@ -452,6 +458,8 @@ impl<T> Worker<T> {
         if len >= buf.cap() as isize {
             self.grow(t, b);
             buf_ptr = self.inner.buffer.load(Ordering::Relaxed);
+            // SAFETY: `grow` just installed this buffer; only the owner
+            // replaces it, and replaced buffers stay allocated until drop.
             buf = unsafe { &*buf_ptr };
         }
         // SAFETY: slot `b` is outside [t, b) so no live element is
@@ -482,6 +490,8 @@ impl<T> Worker<T> {
             if pb.wrapping_sub(ct) >= buf.cap() as isize {
                 self.grow(ct, pb);
                 buf_ptr = self.inner.buffer.load(Ordering::Relaxed);
+                // SAFETY: `grow` just installed this buffer; only the owner
+                // replaces it, and replaced buffers stay allocated until drop.
                 buf = unsafe { &*buf_ptr };
             }
         }

@@ -1295,10 +1295,10 @@ mod tests {
     fn cancel_removes_exactly_the_job() {
         let inj = Injector::new(None);
         let keep = HeapJob::new(0, |_| ());
-        // SAFETY: `kept` executes exactly once below; `gone` never
-        // executes (cancelled) and is dropped here as a heap box leak —
-        // acceptable in a test.
+        // SAFETY: `kept` executes exactly once below.
         let kept = unsafe { keep.into_job_ref() };
+        // SAFETY: `gone` never executes (cancelled), so its box leaks —
+        // acceptable in a test.
         let gone = unsafe { HeapJob::new(0, |_| ()).into_job_ref() };
         inj.push_untenanted(kept);
         inj.push_untenanted(gone);

@@ -205,6 +205,8 @@ pub struct JobHandle<R: Send + 'static> {
 // attempt queue removal, which is internally synchronized by the shard
 // lock.
 unsafe impl<R: Send + 'static> Send for JobHandle<R> {}
+// SAFETY: see `Send` above: `&JobHandle` only reads the job ref to attempt
+// its removal under the shard lock.
 unsafe impl<R: Send + 'static> Sync for JobHandle<R> {}
 
 impl<R: Send + 'static> JobHandle<R> {
@@ -254,10 +256,12 @@ impl<R: Send + 'static> JobHandle<R> {
     /// so handle waits compose with fork-join work without idling a
     /// processor.
     pub fn wait(self) -> Option<R> {
-        unsafe {
-            let wt = WorkerThread::current();
-            if !wt.is_null() && Arc::ptr_eq((*wt).registry(), &self.registry) {
-                (*wt).wait_until(&*self.shared);
+        let wt = WorkerThread::current();
+        // SAFETY: a non-null pointer names this thread's worker context,
+        // live for as long as the worker runs the job that called us.
+        if let Some(wt) = unsafe { wt.as_ref() } {
+            if Arc::ptr_eq(wt.registry(), &self.registry) {
+                wt.wait_until(&*self.shared);
             }
         }
         while !self.poll() && !self.wait_timeout(Duration::MAX) {}
@@ -386,8 +390,9 @@ impl Registry {
                 Ok(JobHandle { shared, registry: Arc::clone(self), tenant, job })
             }
             Err(over) => {
-                // Never enqueued: no execution will ever happen, so the
-                // box is reclaimed directly (not via the execute path).
+                // SAFETY: never enqueued, so no execution will ever happen
+                // and `raw` (from `Box::into_raw` above) is reclaimed here
+                // exactly once, not via the execute path.
                 unsafe { drop(Box::from_raw(raw)) };
                 self.injector.release_reservation(tenant);
                 self.reject(tenant);

@@ -262,6 +262,8 @@ pub(crate) struct ScopeState {
 // SAFETY: the panic slot is written at most once, guarded by the atomic
 // `panicked` flag; reads happen only after the count latch is set.
 unsafe impl Sync for ScopeState {}
+// SAFETY: every field is `Send`: atomics, the latch, and a payload slot
+// holding a `Box<dyn Any + Send>`.
 unsafe impl Send for ScopeState {}
 
 impl ScopeState {
@@ -315,18 +317,22 @@ mod tests {
     #[test]
     fn stack_job_runs_and_stores_result() {
         let job = StackJob::new(0, |migrated| if migrated { 1 } else { 2 }, CoreLatch::new());
+        // SAFETY: `job` lives on this frame past the reference's execution.
         let job_ref = unsafe { job.as_job_ref() };
         assert_eq!(job.executed_on(), NOT_EXECUTED);
+        // SAFETY: the only execution of this reference.
         unsafe { job_ref.execute() };
         assert!(job.latch.probe());
         assert_ne!(job.executed_on(), NOT_EXECUTED);
         // Executed outside any worker: counts as migrated.
+        // SAFETY: taken once, after the latch was set (asserted above).
         assert_eq!(unsafe { job.into_result() }, 1);
     }
 
     #[test]
     fn stack_job_inline_run_is_not_migrated() {
         let job = StackJob::new(7, |migrated| migrated, CoreLatch::new());
+        // SAFETY: the owner runs it; no reference was ever handed out.
         assert!(!unsafe { job.run_inline(7) });
     }
 
@@ -334,9 +340,12 @@ mod tests {
     fn stack_job_captures_panic() {
         let job: StackJob<CoreLatch, _, ()> =
             StackJob::new(0, |_| panic!("inner"), CoreLatch::new());
+        // SAFETY: `job` lives on this frame past the reference's execution.
         let job_ref = unsafe { job.as_job_ref() };
+        // SAFETY: the only execution of this reference.
         unsafe { job_ref.execute() };
         assert!(job.latch.probe());
+        // SAFETY: taken once, after the latch was set (asserted above).
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
             job.into_result()
         }));
@@ -350,7 +359,9 @@ mod tests {
         let job = HeapJob::new(0, |_| {
             RUNS.fetch_add(1, Ordering::SeqCst);
         });
+        // SAFETY: executed exactly once, on the next line.
         let job_ref = unsafe { job.into_job_ref() };
+        // SAFETY: the only execution of this reference.
         unsafe { job_ref.execute() };
         assert_eq!(RUNS.load(Ordering::SeqCst), 1);
     }

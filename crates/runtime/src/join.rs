@@ -126,8 +126,10 @@ where
     // it, then combines the two measures on the parent strand — exact at
     // any worker count.
     match probe::strand_children() {
+        // SAFETY: `in_worker` hands its closure the current worker.
         None => crate::in_worker(move |wt| unsafe { join_on_worker(wt, a, b) }),
         Some((actx, bctx)) => {
+            // SAFETY: as above, `wt` is the current worker.
             let ((ra, ma), (rb, mb)) = crate::in_worker(move |wt| unsafe {
                 join_on_worker(
                     wt,

@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod admission;
 mod config;
@@ -444,11 +445,11 @@ where
     OP: FnOnce(&registry::WorkerThread) -> R + Send,
     R: Send,
 {
-    unsafe {
-        let current = registry::WorkerThread::current();
-        if !current.is_null() {
-            return op(&*current);
-        }
+    let current = registry::WorkerThread::current();
+    if !current.is_null() {
+        // SAFETY: a non-null pointer names this thread's worker context,
+        // which outlives every job the worker runs, including this call.
+        return op(unsafe { &*current });
     }
     global_registry().in_worker(op)
 }
@@ -456,11 +457,11 @@ where
 /// The number of workers in the pool associated with the current thread
 /// (the enclosing pool for worker threads, the global pool otherwise).
 pub fn current_num_workers() -> usize {
-    unsafe {
-        let current = registry::WorkerThread::current();
-        if !current.is_null() {
-            return (*current).registry().num_workers();
-        }
+    let current = registry::WorkerThread::current();
+    if !current.is_null() {
+        // SAFETY: as in `in_worker`, the pointer names this thread's live
+        // worker context.
+        return unsafe { (*current).registry().num_workers() };
     }
     global_registry().num_workers()
 }
@@ -479,13 +480,13 @@ pub fn current_worker_index() -> Option<usize> {
 /// The current `join` nesting depth of the calling worker (0 on non-pool
 /// threads). Backs the paper's stack-space accounting experiment.
 pub fn current_depth() -> usize {
-    unsafe {
-        let current = registry::WorkerThread::current();
-        if current.is_null() {
-            0
-        } else {
-            (*current).depth()
-        }
+    let current = registry::WorkerThread::current();
+    if current.is_null() {
+        0
+    } else {
+        // SAFETY: as in `in_worker`, the pointer names this thread's live
+        // worker context.
+        unsafe { (*current).depth() }
     }
 }
 

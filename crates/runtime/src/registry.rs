@@ -108,6 +108,8 @@ pub(crate) struct Registry {
 // SAFETY: `JobRef`s in the injected queue are `Send`; everything else is
 // composed of sync primitives.
 unsafe impl Send for Registry {}
+// SAFETY: as for `Send`: shared access reaches the queued `JobRef`s only
+// through the injector's locks and the deques' atomics.
 unsafe impl Sync for Registry {}
 
 impl Registry {

@@ -59,18 +59,22 @@ pub struct Scope<'scope> {
 // mutable state behind `state`/`measures` is synchronized (atomics +
 // latch protocol, mutex).
 unsafe impl Sync for Scope<'_> {}
+// SAFETY: as for `Sync`; moving a `Scope` moves only pointers to that
+// synchronized state.
 unsafe impl Send for Scope<'_> {}
 
 /// Wrapper making a raw `ScopeState` pointer `Send` for capture in jobs.
 /// Validity is guaranteed by the scope's count latch: the state outlives
 /// every spawned job.
 struct StatePtr(*const ScopeState);
+// SAFETY: `ScopeState` is `Sync`, and the latch keeps it alive (above).
 unsafe impl Send for StatePtr {}
 
 /// Wrapper making the task-measure collector pointer `Send`; same
 /// validity argument as [`StatePtr`]. Null when the scope is unprofiled.
 #[derive(Clone, Copy)]
 struct MeasuresPtr(*const Mutex<Vec<(u64, probe::Measure)>>);
+// SAFETY: the pointee is a `Mutex`, and the latch keeps it alive (above).
 unsafe impl Send for MeasuresPtr {}
 
 impl MeasuresPtr {
