@@ -13,6 +13,9 @@ cd "$(dirname "$0")"
 echo "== hermetic dependency check =="
 ./scripts/check_hermetic.sh
 
+echo "== line counts (information only) =="
+./scripts/loc.sh crates/runtime crates/deque crates/hyper crates/cilkscreen
+
 echo "== tier-1: release build (warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline
 

@@ -36,11 +36,14 @@
 //!   service weight: its in-flight quota scales to
 //!   `fair_share × weight + burst`, and within a shard's band the claim
 //!   path serves backlogged tenants **deficit-round-robin** — each flow
-//!   earns `weight` credits when it reaches the head of the service
-//!   order and spends one per claimed job. The DRR invariant: over any
+//!   earns `weight` credits when it starts a quantum at the head of the
+//!   service order and spends one per claimed job; a flow a full handoff
+//!   batch interrupts keeps its place and its remaining credit, and earns
+//!   nothing more until that credit is spent. The DRR invariant: over any
 //!   window in which a set of tenants stays continuously backlogged in
 //!   one band, tenant *i*'s share of claims is within one quantum of
-//!   `wᵢ/Σw`.
+//!   `wᵢ/Σw`. A band's one index is its ring of flows: a tenant has a
+//!   flow there exactly while it has jobs queued in that band.
 //! * **Aging promotion.** Queued jobs older than
 //!   [`AdmissionPolicy::age_after`] climb one priority band per claim
 //!   pass (a sufficiently old job climbs several bands in one pass), so
@@ -56,6 +59,12 @@
 //!   are counted in pool metrics (`jobs_rejected`) but not in per-tenant
 //!   shard stats — touching those would mean taking the shard lock the
 //!   breaker exists to avoid.
+//!
+//! Every submission (`submit` off-pool or nested on a worker, and
+//! `submit_async`) passes one admission step, `Registry::admit`: breaker,
+//! shed, quota, the `Inject` fault point, placement, books. This module
+//! holds the state that step reads and writes. Waiting for admission is
+//! the client's [`crate::RetryPolicy`], not a loop in here.
 //!
 //! The exhaustive blocking-at-the-boundary bug catalog of Yu et al.
 //! ("Fearless Concurrency?", PAPERS.md) is the negative space this module
@@ -469,85 +478,73 @@ struct QueuedJob {
     enqueued: Instant,
 }
 
-/// Per-tenant FIFO within one band, plus its deficit-round-robin credit.
-#[derive(Debug, Default)]
+/// One tenant's FIFO within one band, plus its deficit-round-robin credit.
+/// A flow exists only while it holds jobs.
+#[derive(Debug)]
 struct Flow {
+    tenant: u32,
     jobs: VecDeque<QueuedJob>,
-    /// DRR credit in jobs: earned (`+weight`) when the flow reaches the
-    /// head of the service order, spent (one per job) while serving.
+    /// DRR credit in jobs: earned (`+weight`) when the flow starts a
+    /// quantum, spent (one per job) while serving.
     deficit: u64,
 }
 
-/// One priority band: per-tenant flows served deficit-round-robin.
+/// One priority band: per-tenant flows served deficit-round-robin. The
+/// ring is the band's only index: a tenant has a flow here iff it has
+/// jobs queued in this band, and the ring's order is the service order.
 #[derive(Debug, Default)]
 struct Band {
-    flows: HashMap<u32, Flow>,
-    /// Tenants with queued jobs, in round-robin service order.
-    active: VecDeque<u32>,
+    flows: VecDeque<Flow>,
     len: usize,
 }
 
 impl Band {
     fn push(&mut self, tenant: u32, job: QueuedJob) {
-        let flow = self.flows.entry(tenant).or_default();
-        if flow.jobs.is_empty() {
-            flow.deficit = 0;
-            self.active.push_back(tenant);
+        match self.flows.iter_mut().find(|flow| flow.tenant == tenant) {
+            Some(flow) => flow.jobs.push_back(job),
+            None => self.flows.push_back(Flow { tenant, jobs: VecDeque::from([job]), deficit: 0 }),
         }
-        flow.jobs.push_back(job);
         self.len += 1;
     }
 
-    /// Serves up to `max - out.len()` jobs deficit-round-robin. Each flow
-    /// at the head of the service order earns its weight in credits, then
-    /// spends one per job; a flow that empties forfeits leftover credit
-    /// (DRR's anti-burst rule), a flow interrupted mid-quantum by a full
-    /// batch resumes first next claim.
+    /// Serves up to `max - out.len()` jobs deficit-round-robin. A flow
+    /// earns its weight in credits only when it starts a quantum (credit
+    /// 0), then spends one per job; a flow that empties forfeits leftover
+    /// credit (DRR's anti-burst rule), a flow interrupted mid-quantum by a
+    /// full batch stays at the head and finishes that quantum next claim.
     fn serve(&mut self, out: &mut Vec<JobRef>, max: usize, weights: &HashMap<u32, u64>) {
-        while out.len() < max && !self.active.is_empty() {
-            let tenant = self.active.pop_front().expect("active list non-empty");
-            let flow = self.flows.get_mut(&tenant).expect("active flow exists");
-            flow.deficit += weights.get(&tenant).copied().unwrap_or(1);
+        while out.len() < max {
+            let Some(flow) = self.flows.front_mut() else { return };
+            if flow.deficit == 0 {
+                flow.deficit = weights.get(&flow.tenant).copied().unwrap_or(1);
+            }
             while flow.deficit > 0 && out.len() < max {
-                match flow.jobs.pop_front() {
-                    Some(q) => {
-                        out.push(q.job);
-                        self.len -= 1;
-                        flow.deficit -= 1;
-                    }
-                    None => break,
-                }
+                let Some(q) = flow.jobs.pop_front() else { break };
+                out.push(q.job);
+                self.len -= 1;
+                flow.deficit -= 1;
             }
             if flow.jobs.is_empty() {
-                self.flows.remove(&tenant);
-            } else if out.len() >= max && flow.deficit > 0 {
-                self.active.push_front(tenant);
-            } else {
-                self.active.push_back(tenant);
+                self.flows.pop_front();
+            } else if flow.deficit == 0 {
+                self.flows.rotate_left(1);
             }
         }
     }
 
     /// Removes `job` if this band holds it.
     fn remove(&mut self, job: JobRef) -> bool {
-        let mut emptied = None;
-        let mut found = false;
-        for (&tenant, flow) in self.flows.iter_mut() {
+        for (at, flow) in self.flows.iter_mut().enumerate() {
             if let Some(pos) = flow.jobs.iter().position(|q| q.job == job) {
                 flow.jobs.remove(pos);
                 self.len -= 1;
-                found = true;
                 if flow.jobs.is_empty() {
-                    emptied = Some(tenant);
+                    self.flows.remove(at);
                 }
-                break;
+                return true;
             }
         }
-        if let Some(tenant) = emptied {
-            self.flows.remove(&tenant);
-            self.active.retain(|&t| t != tenant);
-        }
-        found
+        false
     }
 }
 
@@ -574,12 +571,7 @@ impl ShardState {
             let (upper, lower) = self.bands.split_at_mut(band);
             let dst = &mut upper[band - 1];
             let src = &mut lower[0];
-            if src.len == 0 {
-                continue;
-            }
-            let order: Vec<u32> = src.active.iter().copied().collect();
-            for tenant in order {
-                let Some(flow) = src.flows.get_mut(&tenant) else { continue };
+            src.flows.retain_mut(|flow| {
                 while flow
                     .jobs
                     .front()
@@ -587,14 +579,11 @@ impl ShardState {
                 {
                     let q = flow.jobs.pop_front().expect("front checked");
                     src.len -= 1;
-                    dst.push(tenant, q);
-                    aged.push(tenant);
+                    dst.push(flow.tenant, q);
+                    aged.push(flow.tenant);
                 }
-                if flow.jobs.is_empty() {
-                    src.flows.remove(&tenant);
-                    src.active.retain(|&t| t != tenant);
-                }
-            }
+                !flow.jobs.is_empty()
+            });
         }
     }
 }
@@ -918,41 +907,30 @@ impl Injector {
         trip
     }
 
-    /// Queues an untenanted job (an `install`, which predates the
-    /// admission layer and has no error channel). Round-robin across
-    /// shards, `Normal` band under the default tenant's flow, exempt from
-    /// capacity. Returns `(shard, depth_after_push)`.
-    pub(crate) fn push_untenanted(&self, job: JobRef) -> (usize, usize) {
+    /// Queues jobs that bypass admission, in one lock acquisition: an
+    /// `install` (`Normal`: it predates the admission layer and has no
+    /// error channel) or work reclaimed from a dead worker (`High`: it was
+    /// already runnable, and new arrivals must not starve it). Round-robin
+    /// across shards under the default tenant's flow, exempt from capacity
+    /// — dropping reclaimed work would strand it, the exact bug
+    /// reclamation exists to prevent. Returns `(shard, depth_after_push)`.
+    pub(crate) fn push_exempt(
+        &self,
+        priority: Priority,
+        jobs: impl IntoIterator<Item = JobRef>,
+    ) -> (usize, usize) {
         let now = Instant::now();
         let shard = self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         let mut state = poison::recover(self.shards[shard].lock());
-        state.bands[Priority::Normal.band()]
-            .push(TenantId::DEFAULT.0, QueuedJob { job, enqueued: now });
-        state.queued += 1;
-        let depth = state.queued;
-        drop(state);
-        self.depth.fetch_add(1, Ordering::SeqCst);
-        (shard, depth)
-    }
-
-    /// Queues a batch of jobs reclaimed from a dead worker's deque in one
-    /// lock acquisition. `High` band (they were already runnable — new
-    /// arrivals must not starve them) and exempt from capacity (dropping
-    /// reclaimed work would strand it, the exact bug reclamation exists to
-    /// prevent). Returns `(shard, depth_after_push)`.
-    pub(crate) fn push_reclaimed(&self, jobs: Vec<JobRef>) -> (usize, usize) {
-        let now = Instant::now();
-        let n = jobs.len();
-        let shard = self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        let mut state = poison::recover(self.shards[shard].lock());
+        let before = state.queued;
         for job in jobs {
-            state.bands[Priority::High.band()]
-                .push(TenantId::DEFAULT.0, QueuedJob { job, enqueued: now });
+            let band = &mut state.bands[priority.band()];
+            band.push(TenantId::DEFAULT.0, QueuedJob { job, enqueued: now });
+            state.queued += 1;
         }
-        state.queued += n;
         let depth = state.queued;
         drop(state);
-        self.depth.fetch_add(n, Ordering::SeqCst);
+        self.depth.fetch_add(depth - before, Ordering::SeqCst);
         (shard, depth)
     }
 
@@ -1048,9 +1026,11 @@ mod tests {
         unsafe { HeapJob::new(0, |_| ()).into_job_ref() }
     }
 
-    fn drain_all(inj: &Injector) {
+    /// Claims `batch` jobs at a time, like a worker would, and runs them
+    /// until the injector is empty.
+    fn drain_in_batches(inj: &Injector, batch: usize) {
         loop {
-            let batch = inj.claim(0, 64);
+            let batch = inj.claim(0, batch);
             if batch.jobs.is_empty() {
                 break;
             }
@@ -1061,6 +1041,26 @@ mod tests {
         }
     }
 
+    /// Admits `n` jobs for `tenant` in band `priority`, each appending the
+    /// tenant's id to `served` when it runs. Their books are closed at
+    /// once: these tests look only at service order.
+    fn enqueue_recorded(
+        inj: &Injector,
+        served: &Arc<Mutex<Vec<u32>>>,
+        tenant: TenantId,
+        priority: Priority,
+        n: usize,
+    ) {
+        for _ in 0..n {
+            let served = Arc::clone(served);
+            let job = HeapJob::new(0, move |_| served.lock().unwrap().push(tenant.0));
+            inj.reserve(tenant).unwrap();
+            // SAFETY: every recorded job is claimed and executed exactly once.
+            inj.enqueue(tenant, priority, unsafe { job.into_job_ref() }).unwrap();
+            inj.note_completed(tenant);
+        }
+    }
+
     #[test]
     fn default_injector_is_single_unbounded_shard() {
         let inj = Injector::new(None);
@@ -1068,10 +1068,10 @@ mod tests {
         assert!(!inj.has_policy());
         assert_eq!(inj.report().shard_capacity, usize::MAX);
         assert_eq!(inj.handoff_batch, 1);
-        let (shard, depth) = inj.push_untenanted(dummy_job());
+        let (shard, depth) = inj.push_exempt(Priority::Normal, [dummy_job()]);
         assert_eq!((shard, depth), (0, 1));
         assert_eq!(inj.depth(), 1);
-        drain_all(&inj);
+        drain_in_batches(&inj, 64);
         assert_eq!(inj.depth(), 0);
     }
 
@@ -1139,7 +1139,7 @@ mod tests {
         assert_eq!(over.capacity, 2);
         inj.release_reservation(t);
         // Clean up: run the queued jobs and release their slots.
-        drain_all(&inj);
+        drain_in_batches(&inj, 64);
         inj.note_completed(t);
         inj.note_completed(t);
         let report = inj.report();
@@ -1195,8 +1195,6 @@ mod tests {
     /// whatever the batch size that drains them.
     #[test]
     fn claim_serves_backlogged_tenants_by_weight() {
-        use std::sync::atomic::AtomicU32 as Cell;
-        use std::sync::Arc;
         let heavy = TenantId(20);
         let light = TenantId(21);
         let policy = AdmissionPolicy::new()
@@ -1205,31 +1203,11 @@ mod tests {
             .weight(heavy, 3)
             .weight(light, 1);
         let inj = Injector::new(Some(&policy));
-        let served: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+        let served = Arc::new(Mutex::new(Vec::new()));
         for tenant in [heavy, light] {
-            for _ in 0..40 {
-                let served = Arc::clone(&served);
-                let job = HeapJob::new(0, move |_| {
-                    served.lock().unwrap().push(tenant.0);
-                });
-                inj.reserve(tenant).unwrap();
-                // SAFETY: every enqueued job executes exactly once below.
-                inj.enqueue(tenant, Priority::Normal, unsafe { job.into_job_ref() }).unwrap();
-                inj.note_completed(tenant); // balance books immediately
-            }
+            enqueue_recorded(&inj, &served, tenant, Priority::Normal, 40);
         }
-        // Claim in small batches like real workers would.
-        let _ = Cell::new(0);
-        loop {
-            let batch = inj.claim(0, 4);
-            if batch.jobs.is_empty() {
-                break;
-            }
-            for job in batch.jobs {
-                // SAFETY: executed exactly once.
-                unsafe { job.execute() };
-            }
-        }
+        drain_in_batches(&inj, 4);
         let order = served.lock().unwrap();
         assert_eq!(order.len(), 80);
         // While both stay backlogged (the first 40 services: light still
@@ -1239,6 +1217,70 @@ mod tests {
         let light_count = first.iter().filter(|&&t| t == light.0).count();
         assert_eq!(heavy_count, 30, "weight-3 tenant gets 3/4 of service: {first:?}");
         assert_eq!(light_count, 10, "weight-1 tenant gets 1/4 of service: {first:?}");
+    }
+
+    /// A flow earns credit only when it starts a quantum. One that a full
+    /// handoff batch interrupts finishes its quantum next claim; it must
+    /// not get a fresh quantum on top, or a tenant whose weight exceeds
+    /// the batch keeps the head of the band until its backlog drains.
+    #[test]
+    fn claim_does_not_recredit_an_interrupted_quantum() {
+        for (weight, batch) in [(9u32, 4usize), (3, 2)] {
+            let heavy = TenantId(22);
+            let light = TenantId(23);
+            let policy =
+                AdmissionPolicy::new().shards(1).fair_share(1000).weight(heavy, weight);
+            let inj = Injector::new(Some(&policy));
+            let served = Arc::new(Mutex::new(Vec::new()));
+            for tenant in [heavy, light] {
+                enqueue_recorded(&inj, &served, tenant, Priority::Normal, 40);
+            }
+            drain_in_batches(&inj, batch);
+            let order = served.lock().unwrap();
+            let light_count = order.iter().take(40).filter(|&&t| t == light.0).count();
+            assert_eq!(
+                light_count,
+                40 / (weight as usize + 1),
+                "weights {weight}:1, batch {batch}: the light tenant gets one job a round: {:?}",
+                &order[..40]
+            );
+        }
+    }
+
+    /// The ring is a band's only index, so the paths that empty a flow
+    /// outside `serve` — cancelling a tenant's last queued job, aging the
+    /// last job out of a band — must take the flow out of the ring: later
+    /// claims serve only the tenants still queued, and the depth drains
+    /// to 0.
+    #[test]
+    fn emptied_flows_leave_the_ring() {
+        let (cancelled, queued, aged) = (TenantId(50), TenantId(51), TenantId(52));
+        let policy = AdmissionPolicy::new()
+            .shards(1)
+            .fair_share(1000)
+            .age_after(Duration::from_millis(20));
+        let inj = Injector::new(Some(&policy));
+        let served = Arc::new(Mutex::new(Vec::new()));
+        enqueue_recorded(&inj, &served, aged, Priority::Low, 1);
+        std::thread::sleep(Duration::from_millis(30));
+        let gone = dummy_job();
+        inj.reserve(cancelled).unwrap();
+        inj.enqueue(cancelled, Priority::Normal, gone).unwrap();
+        enqueue_recorded(&inj, &served, queued, Priority::Normal, 3);
+        assert!(inj.cancel(gone), "the cancelled tenant's only job leaves its flow empty");
+        inj.note_cancelled(cancelled);
+        let first = inj.claim(0, 1);
+        assert_eq!(first.aged, vec![aged.0, aged.0], "Low → Normal → High in one pass");
+        for job in first.jobs {
+            // SAFETY: executed exactly once.
+            unsafe { job.execute() };
+        }
+        drain_in_batches(&inj, 1);
+        assert_eq!(*served.lock().unwrap(), vec![aged.0, queued.0, queued.0, queued.0]);
+        assert_eq!(inj.depth(), 0);
+        let state = inj.shards[0].lock().unwrap();
+        assert!(state.bands.iter().all(|band| band.flows.is_empty() && band.len == 0));
+        assert_eq!(state.queued, 0);
     }
 
     /// Aging promotion: a Low job older than `age_after` climbs past a
@@ -1300,8 +1342,7 @@ mod tests {
         // SAFETY: `gone` never executes (cancelled), so its box leaks —
         // acceptable in a test.
         let gone = unsafe { HeapJob::new(0, |_| ()).into_job_ref() };
-        inj.push_untenanted(kept);
-        inj.push_untenanted(gone);
+        inj.push_exempt(Priority::Normal, [kept, gone]);
         assert!(inj.cancel(gone), "queued job cancels");
         assert!(!inj.cancel(gone), "double cancel is a no-op");
         assert_eq!(inj.depth(), 1);

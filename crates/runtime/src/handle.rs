@@ -2,11 +2,15 @@
 //!
 //! `submit` blocks the caller until the job completes; under overload that
 //! couples the client's thread to the pool's backlog. `submit_async`
-//! decouples them: admission happens synchronously (so every refusal is
-//! still a typed [`SubmitError`] at the call site), but the call returns a
-//! handle the moment the job is queued. The handle can be polled, waited
-//! with a timeout, waited to completion (propagating a captured panic
-//! payload exactly like the synchronous path), or cancelled.
+//! decouples them: admission is the same synchronous
+//! [`Registry::admit`] step `submit` takes (so every refusal is still a
+//! typed [`SubmitError`] at the call site), but the call returns a handle
+//! the moment the job is queued. The handle can be polled, waited with a
+//! timeout, waited to completion (propagating a captured panic payload
+//! exactly like the synchronous path), or cancelled. A blocked waiter
+//! sleeps on the handle's condvar until the job resolves; only on a
+//! supervised pool does it also wake once per watchdog tick, to rescue
+//! the job if the pool has died ([`Registry::rescue_step`]).
 //!
 //! # The quota ticket, asynchronously
 //!
@@ -18,8 +22,9 @@
 //! * [`JobHandle::cancel`] wins the race for a still-queued job →
 //!   [`Injector::note_cancelled`] fires in `cancel`, and the closure is
 //!   dropped without ever executing;
-//! * the enqueue itself fails (shard full) → the reservation is released
-//!   before `submit_async` returns the refusal, and no job exists.
+//! * admission refuses after reserving (shard full, injected `Die`) →
+//!   `admit` releases the reservation, and `submit_async` frees the job
+//!   un-run before returning the refusal.
 //!
 //! `admitted == completed + cancelled` therefore still holds for any mix
 //! of synchronous and asynchronous submissions.
@@ -48,13 +53,8 @@ use crate::job::{Job, JobRef, JobResult};
 use crate::latch::Probe;
 use crate::poison;
 use crate::probe::ProbeEvent;
-use crate::registry::{Registry, WorkerThread};
+use crate::registry::{Placement, Registry, WorkerThread};
 use crate::unwind;
-
-/// How long a blocked non-worker waiter sleeps between re-checks of the
-/// degraded-rescue condition. Completion itself is signalled by the
-/// condvar, so this only bounds how stale the degradation check can be.
-const WAIT_SLICE: Duration = Duration::from_millis(10);
 
 /// Where an async job stands, guarded by [`Shared::state`].
 enum HandleState<R> {
@@ -239,9 +239,8 @@ impl<R: Send + 'static> JobHandle<R> {
             if matches!(*state, HandleState::Done(_) | HandleState::Cancelled) {
                 return true;
             }
-            let (guard, _) = poison::recover(
-                self.shared.cvar.wait_timeout(state, remaining.min(WAIT_SLICE)),
-            );
+            let step = self.registry.rescue_step().map_or(remaining, |s| remaining.min(s));
+            let (guard, _) = poison::recover(self.shared.cvar.wait_timeout(state, step));
             drop(guard);
         }
     }
@@ -341,11 +340,10 @@ impl<R: Send + 'static> std::fmt::Debug for JobHandle<R> {
 }
 
 impl Registry {
-    /// Admission-controlled non-blocking submission: reserves `tenant`'s
-    /// quota, passes the `Inject` fault point, enqueues under shard
-    /// capacity, and returns a [`JobHandle`] without waiting for
-    /// execution. Every refusal path releases the reservation before
-    /// returning, so a rejected `submit_async` leaves no quota residue.
+    /// Admission-controlled non-blocking submission: passes
+    /// [`Registry::admit`] and returns a [`JobHandle`] without waiting for
+    /// execution. A refused (or fault-unwound) admission frees the job
+    /// un-run and holds no quota.
     pub(crate) fn submit_async<OP, R>(
         self: &Arc<Self>,
         tenant: TenantId,
@@ -356,48 +354,31 @@ impl Registry {
         OP: FnOnce() -> R + Send + 'static,
         R: Send + 'static,
     {
-        // An open circuit breaker fast-fails before any shard work:
-        // atomics only, no per-tenant stats (those live behind the shard
-        // lock the breaker exists to avoid).
-        if let Err(over) = self.injector.breaker_check(tenant) {
-            self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
-            return Err(over.into());
-        }
-        if self.degraded_serial() {
-            return Err(self.shed(tenant));
-        }
-        if let Err(over) = self.injector.reserve(tenant) {
-            self.reject(tenant);
-            return Err(over.into());
-        }
-        // Panic unwinds with the reservation released; Die sheds
-        // (reservation released, rejection counted) and propagates here.
-        self.consult_inject_fault(tenant)?;
         let shared = Arc::new(Shared::new());
-        let raw = Box::into_raw(Box::new(AsyncJob {
+        let unqueued = Unqueued(Box::into_raw(Box::new(AsyncJob {
             registry: Arc::clone(self),
             tenant,
             shared: Arc::clone(&shared),
             func: op,
-        }));
+        })));
         // SAFETY: the box stays valid until the job's single execution
-        // (worker claim, cancel-drop, or degraded rescue) reclaims it; on
-        // enqueue failure it is reclaimed immediately below.
-        let job = unsafe { JobRef::new(raw) };
-        match self.injector.enqueue(tenant, priority, job) {
-            Ok((shard, depth)) => {
-                self.admitted(tenant, shard, depth);
-                Ok(JobHandle { shared, registry: Arc::clone(self), tenant, job })
-            }
-            Err(over) => {
-                // SAFETY: never enqueued, so no execution will ever happen
-                // and `raw` (from `Box::into_raw` above) is reclaimed here
-                // exactly once, not via the execute path.
-                unsafe { drop(Box::from_raw(raw)) };
-                self.injector.release_reservation(tenant);
-                self.reject(tenant);
-                Err(over.into())
-            }
-        }
+        // (worker claim, cancel-drop, or degraded rescue) reclaims it;
+        // until admission queues it, `unqueued` owns it.
+        let job = unsafe { JobRef::new(unqueued.0) };
+        self.admit(tenant, Placement::Queue(priority, job))?;
+        std::mem::forget(unqueued);
+        Ok(JobHandle { shared, registry: Arc::clone(self), tenant, job })
+    }
+}
+
+/// Owns a boxed job until admission queues it: a refusal, or an `Inject`
+/// fault unwinding out of admission, frees it here without running it.
+struct Unqueued<T>(*mut T);
+
+impl<T> Drop for Unqueued<T> {
+    fn drop(&mut self) {
+        // SAFETY: the pointer came from `Box::into_raw`, and the job was
+        // never queued, so nothing else can reach or execute it.
+        unsafe { drop(Box::from_raw(self.0)) };
     }
 }

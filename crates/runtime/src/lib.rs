@@ -73,7 +73,6 @@ pub use supervisor::{BeatSite, SupervisionPolicy, SupervisorReport};
 
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use registry::Registry;
 
@@ -210,8 +209,9 @@ impl ThreadPool {
     /// home injection shard under capacity (see [`Config::admission`];
     /// pools built without a policy always admit). Overload is a typed
     /// [`SubmitError::Overloaded`] — the call never queues unboundedly.
-    /// Use [`tenant`](ThreadPool::tenant) for priorities and deadline
-    /// waits.
+    /// Use [`tenant`](ThreadPool::tenant) for priorities, and
+    /// [`submit_with_retry`](ThreadPool::submit_with_retry) with a
+    /// [`RetryPolicy::deadline`] to wait for admission.
     ///
     /// # Errors
     ///
@@ -224,7 +224,7 @@ impl ThreadPool {
         OP: FnOnce() -> R + Send,
         R: Send,
     {
-        self.registry.submit_checked(tenant, Priority::Normal, None, |_| op())
+        self.registry.submit_checked(tenant, Priority::Normal, |_| op())
     }
 
     /// The non-blocking variant of [`submit`](ThreadPool::submit):
@@ -275,13 +275,12 @@ impl ThreadPool {
     {
         policy.run(|| {
             self.registry
-                .submit_checked(tenant, Priority::Normal, None, |_| op())
+                .submit_checked(tenant, Priority::Normal, |_| op())
         })
     }
 
     /// A submission handle for `tenant`: set a [`Priority`], then
-    /// [`submit`](Submission::submit) or
-    /// [`submit_within`](Submission::submit_within).
+    /// [`submit`](Submission::submit) or one of its variants.
     ///
     /// # Examples
     ///
@@ -337,29 +336,7 @@ impl Submission<'_> {
         OP: FnOnce() -> R + Send,
         R: Send,
     {
-        self.pool.registry.submit_checked(self.tenant, self.priority, None, |_| op())
-    }
-
-    /// The blocking variant: retries admission (quota and shard capacity)
-    /// until `deadline` elapses, then folds into the full
-    /// [`RuntimeStalled`] diagnosis — including the supervisor's suspect
-    /// workers, queue depth, and live-worker count — so the caller can
-    /// tell an overloaded pool from a dead one.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Overloaded`] only if the pool degrades to load
-    /// shedding while waiting; [`SubmitError::Stalled`] when the deadline
-    /// expires un-admitted or the admitted job stalls past the configured
-    /// [`stall_timeout`](Config::stall_timeout).
-    pub fn submit_within<OP, R>(&self, deadline: Duration, op: OP) -> Result<R, SubmitError>
-    where
-        OP: FnOnce() -> R + Send,
-        R: Send,
-    {
-        self.pool
-            .registry
-            .submit_checked(self.tenant, self.priority, Some(deadline), |_| op())
+        self.pool.registry.submit_checked(self.tenant, self.priority, |_| op())
     }
 
     /// Non-blocking submission at this handle's priority; see
@@ -394,7 +371,7 @@ impl Submission<'_> {
         policy.run(|| {
             self.pool
                 .registry
-                .submit_checked(self.tenant, self.priority, None, |_| op())
+                .submit_checked(self.tenant, self.priority, |_| op())
         })
     }
 }

@@ -13,7 +13,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cilk_deque::{Protocol, Steal, Stealer, Worker};
 
@@ -272,6 +272,14 @@ impl Registry {
             .is_some_and(|sup| sup.live() == 0 && !sup.recovery_possible())
     }
 
+    /// How often a client blocked on a queued job wakes to re-check
+    /// [`Registry::degraded_serial`]: once per watchdog tick on a
+    /// supervised pool. An unsupervised pool never degrades, so its
+    /// clients sleep until the job completes (or their own timeout).
+    pub(crate) fn rescue_step(&self) -> Option<Duration> {
+        self.supervision.is_some().then_some(supervisor::CHECK_INTERVAL)
+    }
+
     /// Reports one scheduler event raised off-pool (or by a thread that
     /// owns no worker slot): delivered to the pool's shared counter block —
     /// one relaxed atomic read-modify-write per counter the event feeds —
@@ -300,9 +308,9 @@ impl Registry {
 
     /// Queues a job from outside the pool and wakes a worker. Capacity-
     /// exempt legacy path (`install` has no rejection channel); `submit`
-    /// goes through [`Registry::submit_checked`] instead.
+    /// goes through [`Registry::admit`] instead.
     pub(crate) fn inject(&self, job: JobRef) {
-        let (shard, depth) = self.injector.push_untenanted(job);
+        let (shard, depth) = self.injector.push_exempt(Priority::Normal, [job]);
         self.probe(ProbeEvent::Inject);
         self.probe(ProbeEvent::QueueDepth { shard, depth });
         self.notify_work(INJECTED_OWNER);
@@ -319,7 +327,7 @@ impl Registry {
             return;
         }
         let n = jobs.len();
-        let (shard, depth) = self.injector.push_reclaimed(jobs);
+        let (shard, depth) = self.injector.push_exempt(Priority::High, jobs);
         if n > 1 {
             self.probe(ProbeEvent::InjectorBatch { jobs: n });
         }
@@ -459,7 +467,7 @@ impl Registry {
                 note(&self.injector, tenant);
             }
         };
-        let step = [self.stall_timeout, self.supervision.as_ref().map(|sup| sup.policy.wait_step())]
+        let step = [self.stall_timeout, self.rescue_step()]
             .into_iter()
             .flatten()
             .min()
@@ -541,149 +549,111 @@ impl Registry {
 
     /// The admission-controlled analogue of
     /// [`Registry::in_worker_checked`]: the engine behind
-    /// `ThreadPool::submit`. Reserves a quota slot for `tenant`, passes
-    /// the `Inject` fault point, enqueues under shard capacity, and waits
-    /// for completion — every refusal is a typed [`SubmitError`], never an
-    /// unbounded queue or a silent stall.
-    ///
-    /// `admit_deadline: None` is the non-blocking variant (one admission
-    /// attempt); `Some(d)` retries admission until `d` elapses and then
-    /// folds into the [`RuntimeStalled`] diagnosis.
+    /// `ThreadPool::submit`. Off-pool the job is admitted into the queue
+    /// and the caller waits for it; on a worker it is admitted inline and
+    /// runs in place (like `install`), still holding a quota slot so a
+    /// tenant's fair share covers its nested work too. One admission
+    /// attempt either way: every refusal is a typed [`SubmitError`].
     pub(crate) fn submit_checked<OP, R>(
         self: &Arc<Self>,
         tenant: TenantId,
         priority: Priority,
-        admit_deadline: Option<Duration>,
         op: OP,
     ) -> Result<R, SubmitError>
     where
         OP: FnOnce(&WorkerThread) -> R + Send,
         R: Send,
     {
-        // An open circuit breaker fast-fails before any shard work:
-        // atomics only, no per-tenant stats (those live behind the shard
-        // lock the breaker exists to avoid).
+        let current = WorkerThread::current();
+        if current.is_null() {
+            return self.run_injected(Some(tenant), op, |job| {
+                self.admit(tenant, Placement::Queue(priority, job))
+            });
+        }
+        self.admit(tenant, Placement::Inline)?;
+        // Complete-on-drop: the quota slot is released even when `op`
+        // unwinds (the panic is the submitter's outcome; the admitted work
+        // still counts as completed).
+        let _complete = InlineComplete { registry: self, tenant };
+        // SAFETY: a non-null `current()` is this thread's live worker.
+        Ok(op(unsafe { &*current }))
+    }
+
+    /// The one admission step of every submission. In order: the circuit
+    /// breaker (an open one fast-fails on atomics alone, touching no
+    /// per-tenant stats — those live behind the shard lock it exists to
+    /// avoid); a degraded pool sheds a job that would queue behind workers
+    /// that will never come back; the quota reservation; the `Inject`
+    /// fault point; the placement; then the books. `Ok` means admitted and
+    /// placed: the caller's ticket now owes exactly one `note_completed` or
+    /// `note_cancelled`. A refusal after the reservation releases it here.
+    pub(crate) fn admit(&self, tenant: TenantId, place: Placement) -> Result<(), SubmitError> {
         if let Err(over) = self.injector.breaker_check(tenant) {
             self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
             return Err(over.into());
         }
-        let current = WorkerThread::current();
-        if !current.is_null() {
-            // Nested submit on a worker thread: runs inline (like
-            // `install`), but still holds an in-flight quota slot so a
-            // tenant's fair share covers its nested work too.
-            if let Err(over) = self.injector.reserve(tenant) {
-                self.reject(tenant);
-                return Err(over.into());
-            }
-            self.consult_inject_fault(tenant)?;
-            self.injector.note_admitted_inline(tenant);
-            self.injector.breaker_outcome(tenant, true);
-            self.probe(ProbeEvent::JobAdmitted { tenant: tenant.0 });
-            // Complete-on-drop: the quota slot is released even when `op`
-            // unwinds (the panic is the submitter's outcome; the admitted
-            // work still counts as completed).
-            let _complete = InlineComplete { registry: self, tenant };
-            // SAFETY: a non-null `current()` is this thread's live worker.
-            return Ok(op(unsafe { &*current }));
-        }
-        if self.degraded_serial() {
-            return Err(self.shed(tenant));
-        }
-        let admit_start = Instant::now();
-        let mut fault_checked = false;
-        // Admission: a quota reservation, the `Inject` fault point, then an
-        // enqueue under shard capacity. Non-blocking gets one attempt; the
-        // deadline variant retries both gates.
-        self.run_injected(Some(tenant), op, |job| loop {
-            let refusal = match self.injector.reserve(tenant) {
-                Err(over) => over,
-                Ok(()) => {
-                    if !std::mem::replace(&mut fault_checked, true) {
-                        // Panic unwinds with the reservation released; Die
-                        // sheds (reservation released, rejection counted)
-                        // and propagates here via `?`.
-                        self.consult_inject_fault(tenant)?;
-                    }
-                    match self.injector.enqueue(tenant, priority, job) {
-                        Ok((shard, depth)) => {
-                            self.admitted(tenant, shard, depth);
-                            return Ok(());
-                        }
-                        Err(over) => {
-                            self.injector.release_reservation(tenant);
-                            over
-                        }
-                    }
+        let refusal = if matches!(place, Placement::Queue(..)) && self.degraded_serial() {
+            self.shed(tenant)
+        } else if let Err(over) = self.injector.reserve(tenant) {
+            over
+        } else {
+            let placed = self.consult_inject_fault(tenant).and_then(|()| match place {
+                Placement::Inline => {
+                    self.injector.note_admitted_inline(tenant);
+                    Ok(None)
                 }
-            };
-            match admit_deadline {
-                Some(deadline) if admit_start.elapsed() < deadline => {
-                    if self.degraded_serial() {
-                        return Err(self.shed(tenant));
+                Placement::Queue(priority, job) => {
+                    self.injector.enqueue(tenant, priority, job).map(Some)
+                }
+            });
+            match placed {
+                Ok(queued_at) => {
+                    self.injector.breaker_outcome(tenant, true);
+                    self.probe(ProbeEvent::JobAdmitted { tenant: tenant.0 });
+                    if let Some((shard, depth)) = queued_at {
+                        self.probe(ProbeEvent::Inject);
+                        self.probe(ProbeEvent::QueueDepth { shard, depth });
+                        self.notify_work(INJECTED_OWNER);
                     }
-                    thread::sleep(Duration::from_micros(500));
+                    return Ok(());
                 }
-                // Deadline exhausted waiting for admission: the pool is not
-                // keeping up — the full stall diagnosis says whether it is
-                // overloaded or dead.
-                Some(_) => {
-                    self.reject(tenant);
-                    return Err(self.stall_error(admit_start.elapsed()).into());
-                }
-                None => {
-                    self.reject(tenant);
-                    return Err(refusal.into());
+                Err(over) => {
+                    self.injector.release_reservation(tenant);
+                    over
                 }
             }
-        })
-    }
-
-    /// A job passed admission and sits in shard `shard`: settles the
-    /// breaker, counts it, and tells the idle protocol.
-    pub(crate) fn admitted(&self, tenant: TenantId, shard: usize, depth: usize) {
-        self.injector.breaker_outcome(tenant, true);
-        self.probe(ProbeEvent::JobAdmitted { tenant: tenant.0 });
-        self.probe(ProbeEvent::Inject);
-        self.probe(ProbeEvent::QueueDepth { shard, depth });
-        self.notify_work(INJECTED_OWNER);
-    }
-
-    /// Counts a refusal that holds no reservation: with the tenant, the
-    /// pool's counters, and the tenant's circuit breaker.
-    pub(crate) fn reject(&self, tenant: TenantId) {
+        };
         self.injector.note_rejected(tenant);
         self.probe(ProbeEvent::JobRejected { tenant: tenant.0 });
         self.note_breaker_rejection(tenant);
+        Err(refusal.into())
     }
 
-    /// Refuses a submission because the pool is dead: it sheds new work
-    /// instead of queueing it behind workers that will never come back
-    /// (work already admitted still drains via the serial fallback).
-    pub(crate) fn shed(&self, tenant: TenantId) -> SubmitError {
-        self.reject(tenant);
-        SubmitError::Overloaded(Overloaded {
+    /// The refusal of a dead pool, or of an injected `Die` at the
+    /// admission boundary: it sheds new work (work already admitted still
+    /// drains via the serial fallback).
+    fn shed(&self, tenant: TenantId) -> Overloaded {
+        Overloaded {
             tenant,
             queued: self.injector.depth(),
             capacity: 0,
             reason: RejectReason::Shed,
             retry_after: None,
-        })
+        }
     }
 
     /// Consults the pool's fault handler at the [`FaultSite::Inject`]
     /// seam on behalf of the submitting thread (which is typically outside
-    /// the pool, where [`fault::fault_point`] would no-op). The caller
-    /// must hold a fresh quota reservation for `tenant`:
+    /// the pool, where [`fault::fault_point`] would no-op), holding a
+    /// fresh quota reservation for `tenant`:
     ///
     /// * `Panic` releases the reservation, then unwinds with
     ///   [`crate::fault::InjectedFault`] — no quota leak, nothing queued;
     /// * `Stall` sleeps at the admission boundary, perturbing arrival
     ///   order;
-    /// * `Die` has no worker to kill here, so it sheds the submission —
-    ///   reservation released, rejection counted, [`Overloaded`] returned
-    ///   — simulating sudden pool death at the admission boundary.
-    pub(crate) fn consult_inject_fault(&self, tenant: TenantId) -> Result<(), SubmitError> {
+    /// * `Die` has no worker to kill here, so it sheds the submission,
+    ///   simulating sudden pool death at the admission boundary.
+    fn consult_inject_fault(&self, tenant: TenantId) -> Result<(), Overloaded> {
         let Some(handler) = self.fault_handler() else {
             return Ok(());
         };
@@ -706,20 +676,25 @@ impl Registry {
                     site: FaultSite::Inject,
                 });
             }
-            FaultAction::Die => {
-                self.injector.release_reservation(tenant);
-                Err(self.shed(tenant))
-            }
+            FaultAction::Die => Err(self.shed(tenant)),
         }
     }
 
     /// Records a rejection with `tenant`'s circuit breaker and emits the
     /// trip event if this strike opened it.
-    pub(crate) fn note_breaker_rejection(&self, tenant: TenantId) {
+    fn note_breaker_rejection(&self, tenant: TenantId) {
         if self.injector.breaker_outcome(tenant, false) {
             self.probe(ProbeEvent::BreakerTripped { tenant: tenant.0 });
         }
     }
+}
+
+/// Where [`Registry::admit`] places an admitted submission.
+pub(crate) enum Placement {
+    /// Runs in place on the calling worker; nothing queues.
+    Inline,
+    /// Queued in the tenant's home shard in this priority band.
+    Queue(Priority, JobRef),
 }
 
 /// Releases an inline submission's quota slot on scope exit, even when the

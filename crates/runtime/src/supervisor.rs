@@ -10,7 +10,7 @@
 //! * **Watchdog.** Every worker bumps a per-slot heartbeat epoch at its
 //!   scheduling-loop boundaries (top of loop, steal rounds, `join` entry,
 //!   scope spawns). A low-frequency monitor thread — one per supervised
-//!   pool — scans the epochs each [`SupervisionPolicy::check_interval`] and
+//!   pool — scans the epochs each [`CHECK_INTERVAL`] (1 ms) and
 //!   counts *suspect* workers (alive but not beating). Death itself is
 //!   reported synchronously: a dying worker hands its deque to the monitor
 //!   as an orphan. When supervision is off none of this exists — the beat
@@ -48,12 +48,19 @@ use crate::poison;
 use crate::probe::ProbeEvent;
 use crate::registry::Registry;
 
+/// First respawn backoff; each later one doubles, up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: Duration = Duration::from_micros(500);
+/// Longest respawn backoff.
+const BACKOFF_CAP: Duration = Duration::from_millis(20);
+/// The watchdog tick: how often the monitor adopts orphans and scans
+/// heartbeats, and how often a client blocked on a queued job re-checks
+/// for a dead pool (`Registry::rescue_step`).
+pub(crate) const CHECK_INTERVAL: Duration = Duration::from_millis(1);
+
 /// Recovery policy for a supervised pool, set with
-/// [`Config::supervision`](crate::Config::supervision).
-///
-/// The defaults are tuned for tests and interactive workloads: a respawn
-/// budget of 16, sub-millisecond initial backoff capped at 20 ms, and a
-/// 1 ms watchdog tick. Production pools should widen the backoff.
+/// [`Config::supervision`](crate::Config::supervision): a respawn budget
+/// (default 16) and the seed of the backoff jitter. The backoff (500 µs
+/// doubling to 20 ms) and the 1 ms watchdog tick are fixed.
 ///
 /// # Examples
 ///
@@ -71,23 +78,13 @@ use crate::registry::Registry;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisionPolicy {
     pub(crate) max_respawns: u32,
-    pub(crate) backoff_base: Duration,
-    pub(crate) backoff_cap: Duration,
-    pub(crate) check_interval: Duration,
     pub(crate) seed: u64,
 }
 
 impl SupervisionPolicy {
-    /// The default policy: budget 16, 500 µs base backoff capped at 20 ms,
-    /// 1 ms watchdog tick, seed 0.
+    /// The default policy: budget 16, seed 0.
     pub fn new() -> Self {
-        SupervisionPolicy {
-            max_respawns: 16,
-            backoff_base: Duration::from_micros(500),
-            backoff_cap: Duration::from_millis(20),
-            check_interval: Duration::from_millis(1),
-            seed: 0,
-        }
+        SupervisionPolicy { max_respawns: 16, seed: 0 }
     }
 
     /// Total replacement workers the pool may ever spawn. A budget of 0
@@ -97,42 +94,11 @@ impl SupervisionPolicy {
         self
     }
 
-    /// Exponential-backoff window before each respawn: the `k`-th respawn
-    /// waits roughly `base * 2^k`, jittered, never above `cap`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is zero or `cap < base`.
-    pub fn backoff(mut self, base: Duration, cap: Duration) -> Self {
-        assert!(!base.is_zero(), "backoff base must be positive");
-        assert!(cap >= base, "backoff cap must be at least the base");
-        self.backoff_base = base;
-        self.backoff_cap = cap;
-        self
-    }
-
-    /// How often the watchdog scans heartbeats and the orphan queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn check_interval(mut self, interval: Duration) -> Self {
-        assert!(!interval.is_zero(), "check interval must be positive");
-        self.check_interval = interval;
-        self
-    }
-
     /// Seeds the backoff jitter PRNG. Two pools with the same policy, the
     /// same fault plan, and one worker replay identical recovery schedules.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// The bounded wait step installers use while a recovery might still
-    /// happen (they must re-check the pool's state, not block forever).
-    pub(crate) fn wait_step(&self) -> Duration {
-        self.check_interval.max(Duration::from_millis(1))
     }
 }
 
@@ -413,12 +379,8 @@ impl Supervision {
 
 /// The backoff before attempt `k` (0-based): `base * 2^k` capped at `cap`,
 /// then jittered to `[delay/2, delay]` with the policy-seeded PRNG.
-fn backoff_delay(policy: &SupervisionPolicy, attempt: u64, rng: &mut Rng) -> Duration {
-    let shift = attempt.min(16) as u32;
-    let full = policy
-        .backoff_base
-        .saturating_mul(1u32 << shift.min(16))
-        .min(policy.backoff_cap);
+fn backoff_delay(attempt: u64, rng: &mut Rng) -> Duration {
+    let full = BACKOFF_BASE.saturating_mul(1u32 << attempt.min(16)).min(BACKOFF_CAP);
     let half = full / 2;
     let jitter_ns = rng.gen_range(0..=half.as_nanos() as u64);
     half + Duration::from_nanos(jitter_ns)
@@ -441,7 +403,7 @@ fn interruptible_sleep(registry: &Registry, total: Duration) -> bool {
 
 /// The monitor thread of one supervised pool.
 ///
-/// Ticks every `check_interval`: adopts orphaned deques (respawning a
+/// Ticks every [`CHECK_INTERVAL`]: adopts orphaned deques (respawning a
 /// replacement after backoff while the budget lasts, degrading otherwise)
 /// and scans heartbeats for suspects. Exits when the pool terminates.
 pub(crate) fn monitor_main(registry: Arc<Registry>) {
@@ -458,7 +420,7 @@ pub(crate) fn monitor_main(registry: Arc<Registry>) {
             }
         }
         sup.scan_heartbeats(&mut last_beats);
-        if !interruptible_sleep(&registry, sup.policy.check_interval) {
+        if !interruptible_sleep(&registry, CHECK_INTERVAL) {
             return;
         }
     }
@@ -486,7 +448,7 @@ impl AdoptEnv<JobRef> for MonitorAdopt<'_> {
     }
 
     fn backoff(&mut self, attempt: u64) -> bool {
-        let delay = backoff_delay(&self.sup.policy, attempt, self.rng);
+        let delay = backoff_delay(attempt, self.rng);
         interruptible_sleep(self.registry, delay)
     }
 
@@ -532,11 +494,7 @@ mod tests {
 
     #[test]
     fn policy_builder_and_equality() {
-        let p = SupervisionPolicy::new()
-            .max_respawns(3)
-            .backoff(Duration::from_millis(1), Duration::from_millis(8))
-            .check_interval(Duration::from_millis(2))
-            .seed(42);
+        let p = SupervisionPolicy::new().max_respawns(3).seed(42);
         assert_eq!(p.max_respawns, 3);
         assert_eq!(p, p.clone());
         assert_ne!(p, SupervisionPolicy::new());
@@ -545,55 +503,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "backoff base")]
-    fn zero_backoff_base_rejected() {
-        let _ = SupervisionPolicy::new().backoff(Duration::ZERO, Duration::from_millis(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "backoff cap")]
-    fn inverted_backoff_rejected() {
-        let _ = SupervisionPolicy::new()
-            .backoff(Duration::from_millis(2), Duration::from_millis(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "check interval")]
-    fn zero_check_interval_rejected() {
-        let _ = SupervisionPolicy::new().check_interval(Duration::ZERO);
-    }
-
-    #[test]
     fn backoff_is_deterministic_per_seed_and_bounded() {
-        let policy = SupervisionPolicy::new()
-            .backoff(Duration::from_micros(100), Duration::from_millis(5))
-            .seed(99);
         let draw = || {
-            let mut rng = Rng::from_keys(policy.seed, &[mix_str("cilk-runtime.supervisor")]);
-            (0..8)
-                .map(|k| backoff_delay(&policy, k, &mut rng))
-                .collect::<Vec<_>>()
+            let mut rng = Rng::from_keys(99, &[mix_str("cilk-runtime.supervisor")]);
+            (0..8).map(|k| backoff_delay(k, &mut rng)).collect::<Vec<_>>()
         };
         let a = draw();
         let b = draw();
         assert_eq!(a, b, "same seed must replay the same backoff schedule");
         for (k, d) in a.iter().enumerate() {
-            let full = policy
-                .backoff_base
-                .saturating_mul(1 << (k as u32).min(16))
-                .min(policy.backoff_cap);
+            let full = BACKOFF_BASE.saturating_mul(1 << k).min(BACKOFF_CAP);
             assert!(*d >= full / 2 && *d <= full, "attempt {k}: {d:?} vs {full:?}");
-            assert!(*d <= policy.backoff_cap);
         }
     }
 
     #[test]
     fn backoff_caps_exponent_shift() {
         // Attempt numbers far past the doubling range must not overflow.
-        let policy = SupervisionPolicy::new();
         let mut rng = Rng::seed_from_u64(1);
-        let d = backoff_delay(&policy, 1_000, &mut rng);
-        assert!(d <= policy.backoff_cap);
+        assert!(backoff_delay(1_000, &mut rng) <= BACKOFF_CAP);
     }
 
     #[test]

@@ -740,16 +740,28 @@ fn degraded_pool_keeps_serial_elision_order() {
     drop(pool);
 }
 
+/// A way into admission; all of them pass the same `admit` step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    /// `submit` from outside the pool: admitted into the queue, waited on.
+    Submit,
+    /// `submit_async(..)` then `wait()` on the handle.
+    AsyncWait,
+    /// `submit` inside `install`: admitted inline on a worker.
+    Nested,
+}
+
 /// The `inject` fault-site sweep: every fault action planted on the
-/// submission path of a scheduler-service pool, at 1/2/4 workers and two
-/// occurrence counts. The admission robustness contract:
+/// submission path of a scheduler-service pool, through every entry point,
+/// at 1/2/4 workers and two occurrence counts. The admission robustness
+/// contract, the same for every entry point:
 ///
 /// * `Panic` surfaces as the planted payload on the submitting thread with
 ///   the quota reservation already released;
 /// * `Stall` only delays admission — the job still completes correctly;
 /// * `Die` sheds the submission as a typed `Overloaded { Shed }` rejection
 ///   (there is no worker to kill on the submit path);
-/// * in every case the tenant's books balance afterwards (admitted =
+/// * in every case every tenant's books balance afterwards (admitted =
 ///   completed + cancelled, zero in flight, rejections counted), nothing
 ///   is stranded in the injector, and the pool stays usable.
 #[test]
@@ -769,73 +781,85 @@ fn inject_site_sweep_leaks_no_quota_and_strands_no_jobs() {
     let tenant = TenantId(11);
     const JOBS: u64 = 6;
 
-    for workers in [1usize, 2, 4] {
-        for nth in [1u64, 3] {
-            for action in [
-                FaultAction::Panic,
-                FaultAction::Stall(Duration::from_micros(200)),
-                FaultAction::Die,
-            ] {
-                let plan = FaultPlan::single(FaultSite::Inject, nth, action);
-                let armed = plan.armed();
-                let pool = service_pool(workers, &armed);
-                let ctx = format!("{workers}w, nth {nth}, {action:?}");
-                let (mut ok, mut shed, mut planted) = (0u64, 0u64, 0u64);
-                for i in 0..JOBS {
-                    let n = 10 + (i % 2);
-                    let submitted = catch_unwind(AssertUnwindSafe(|| {
-                        pool.submit(tenant, move || fib_cutoff(n, 6))
-                    }));
-                    match submitted {
-                        Ok(Ok(v)) => {
-                            assert_eq!(v, fib_serial(n), "{ctx}, job {i}");
-                            ok += 1;
-                        }
-                        Ok(Err(SubmitError::Overloaded(over))) => {
-                            assert_eq!(over.reason, RejectReason::Shed, "{ctx}, job {i}: {over}");
-                            assert_eq!(over.tenant, tenant, "{ctx}, job {i}: {over}");
-                            shed += 1;
-                        }
-                        Ok(Err(other)) => panic!("{ctx}, job {i}: unexpected error {other}"),
-                        Err(payload) => {
-                            let fault = payload.downcast_ref::<InjectedFault>().unwrap_or_else(
-                                || panic!("{ctx}, job {i}: a non-planted panic escaped"),
-                            );
-                            assert_eq!(fault.site, FaultSite::Inject, "{ctx}, job {i}");
-                            planted += 1;
+    for entry in [Entry::Submit, Entry::AsyncWait, Entry::Nested] {
+        for workers in [1usize, 2, 4] {
+            for nth in [1u64, 3] {
+                for action in [
+                    FaultAction::Panic,
+                    FaultAction::Stall(Duration::from_micros(200)),
+                    FaultAction::Die,
+                ] {
+                    let plan = FaultPlan::single(FaultSite::Inject, nth, action);
+                    let armed = plan.armed();
+                    let pool = service_pool(workers, &armed);
+                    let ctx = format!("{entry:?}, {workers}w, nth {nth}, {action:?}");
+                    let (mut ok, mut shed, mut planted) = (0u64, 0u64, 0u64);
+                    for i in 0..JOBS {
+                        let n = 10 + (i % 2);
+                        let job = move || fib_cutoff(n, 6);
+                        let submitted = catch_unwind(AssertUnwindSafe(|| match entry {
+                            Entry::Submit => pool.submit(tenant, job),
+                            Entry::AsyncWait => pool
+                                .submit_async(tenant, job)
+                                .map(|handle| handle.wait().expect("never cancelled")),
+                            Entry::Nested => pool.install(|| pool.submit(tenant, job)),
+                        }));
+                        match submitted {
+                            Ok(Ok(v)) => {
+                                assert_eq!(v, fib_serial(n), "{ctx}, job {i}");
+                                ok += 1;
+                            }
+                            Ok(Err(SubmitError::Overloaded(over))) => {
+                                let at = format!("{ctx}, job {i}: {over}");
+                                assert_eq!(over.reason, RejectReason::Shed, "{at}");
+                                assert_eq!(over.tenant, tenant, "{at}");
+                                shed += 1;
+                            }
+                            Ok(Err(other)) => panic!("{ctx}, job {i}: unexpected error {other}"),
+                            Err(payload) => {
+                                let fault = payload.downcast_ref::<InjectedFault>().unwrap_or_else(
+                                    || panic!("{ctx}, job {i}: a non-planted panic escaped"),
+                                );
+                                assert_eq!(fault.site, FaultSite::Inject, "{ctx}, job {i}");
+                                planted += 1;
+                            }
                         }
                     }
-                }
-                // The single planted injection fires exactly once, at its
-                // nth submission, and the outcome matches the action.
-                assert!(armed.exhausted(), "{ctx}: the inject fault fires");
-                match action {
-                    FaultAction::Panic => {
-                        assert_eq!((planted, shed, ok), (1, 0, JOBS - 1), "{ctx}")
+                    // The single planted injection fires exactly once, at its
+                    // nth submission, and the outcome matches the action.
+                    assert!(armed.exhausted(), "{ctx}: the inject fault fires");
+                    match action {
+                        FaultAction::Panic => {
+                            assert_eq!((planted, shed, ok), (1, 0, JOBS - 1), "{ctx}")
+                        }
+                        FaultAction::Die => {
+                            assert_eq!((planted, shed, ok), (0, 1, JOBS - 1), "{ctx}")
+                        }
+                        _ => assert_eq!((planted, shed, ok), (0, 0, JOBS), "{ctx}"),
                     }
-                    FaultAction::Die => {
-                        assert_eq!((planted, shed, ok), (0, 1, JOBS - 1), "{ctx}")
+                    let m = pool.metrics();
+                    assert_eq!(m.faults_injected, armed.fired_count() as u64, "{ctx}: {m:?}");
+                    if matches!(action, FaultAction::Stall(_)) {
+                        assert_eq!(m.stalls_injected, 1, "{ctx}: {m:?}");
                     }
-                    _ => assert_eq!((planted, shed, ok), (0, 0, JOBS), "{ctx}"),
+                    // Each `install` around a nested submit is billed to the
+                    // default tenant, admitted whatever its submit's outcome.
+                    let installs = if entry == Entry::Nested { JOBS } else { 0 };
+                    assert_eq!(m.jobs_admitted, ok + installs, "{ctx}: {m:?}");
+                    assert_eq!(m.jobs_rejected, shed, "{ctx}: {m:?}");
+                    let report = pool.admission_report();
+                    let stats = *report.tenant(tenant).expect("tenant recorded");
+                    assert_eq!(stats.admitted, ok, "{ctx}: {stats:?}");
+                    assert_eq!(stats.rejected, shed, "{ctx}: {stats:?}");
+                    for (id, stats) in &report.tenants {
+                        let at = format!("{ctx}: {id}: {stats:?}");
+                        assert_eq!(stats.in_flight, 0, "{at}: a reservation leaked");
+                        let closed = stats.completed + stats.cancelled;
+                        assert_eq!(stats.admitted, closed, "{at}: books must balance");
+                    }
+                    assert_eq!(pool.queued_jobs(), 0, "{ctx}: stranded job");
+                    drop(pool); // must tear down cleanly whatever the fault did
                 }
-                let m = pool.metrics();
-                assert_eq!(m.faults_injected, armed.fired_count() as u64, "{ctx}: {m:?}");
-                if matches!(action, FaultAction::Stall(_)) {
-                    assert_eq!(m.stalls_injected, 1, "{ctx}: {m:?}");
-                }
-                assert_eq!(m.jobs_admitted, ok, "{ctx}: {m:?}");
-                assert_eq!(m.jobs_rejected, shed, "{ctx}: {m:?}");
-                let stats = *pool.admission_report().tenant(tenant).expect("tenant recorded");
-                assert_eq!(stats.in_flight, 0, "{ctx}: reservation leaked: {stats:?}");
-                assert_eq!(stats.admitted, ok, "{ctx}: {stats:?}");
-                assert_eq!(
-                    stats.admitted,
-                    stats.completed + stats.cancelled,
-                    "{ctx}: books must balance: {stats:?}"
-                );
-                assert_eq!(stats.rejected, shed, "{ctx}: {stats:?}");
-                assert_eq!(pool.queued_jobs(), 0, "{ctx}: stranded job");
-                drop(pool); // must tear down cleanly whatever the fault did
             }
         }
     }
