@@ -19,14 +19,22 @@ echo "== line counts (information only) =="
 echo "== tier-1: release build (warnings are errors) =="
 RUSTFLAGS="-D warnings" cargo build --release --offline
 
-echo "== idle path: no timed wait on a worker's way to sleep =="
-# Workers park with no timeout (docs/scheduler.md, "Idle protocol"); the
-# handshake is model-checked below instead of papered over. A timed wait
-# reappearing in the worker loop or the protocol fails here. The one place
-# a timed wait (`park_timeout`) belongs is latch.rs: `LockLatch::wait_for`,
-# the external waiter's stall and supervision steps.
-if grep -nE 'wait_timeout(_while)?\(|park_timeout\(' \
-    crates/runtime/src/registry.rs crates/runtime/src/idle.rs; then
+echo "== one way to block: no condvar, no timed wait outside the latch =="
+# Every runtime sleeper parks on a `LockLatch` (docs/scheduler.md,
+# "Blocking"): an install/submit client directly, an idle worker and a
+# `JobHandle` waiter through a `Parker`. Workers park with no timeout; the
+# one place a timed wait (`park_timeout`) belongs is latch.rs, for the
+# external waiter's stall and supervision steps and a handle's timed wait.
+# A condition variable, or a timed park anywhere else, fails here.
+if grep -rn 'Condvar' crates/runtime/src; then
+    echo "a condition variable is back in cilk-runtime"
+    exit 1
+fi
+if grep -rn 'park_timeout(' crates/runtime/src | grep -v '^crates/runtime/src/latch.rs:'; then
+    echo "a timed park outside latch.rs"
+    exit 1
+fi
+if grep -n 'parker\.park(' crates/runtime/src/registry.rs | grep -v 'Duration::MAX'; then
     echo "a timed wait is back on the worker idle path"
     exit 1
 fi
@@ -37,6 +45,9 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
     echo "clippy not installed; skipping (rustc -D warnings gate above still applies)"
 fi
+
+echo "== rustdoc: the runtime's docs build with no warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p cilk-runtime
 
 echo "== tier-1: test suite =="
 cargo test -q --offline --workspace

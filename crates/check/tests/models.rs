@@ -1,6 +1,7 @@
 //! Schedule-exploration models of the *real* `cilk-deque` code, and of the
-//! runtime's idle protocol (`cilk_runtime::idle`) and blocking latch
-//! (`cilk_runtime::LockLatch`).
+//! runtime's idle protocol (`cilk_runtime::idle`), blocking latch
+//! (`cilk_runtime::LockLatch`) and the parker built on it
+//! (`cilk_runtime::Parker`).
 //!
 //! This file only compiles under `RUSTFLAGS="--cfg cilk_check"` (ci.sh's
 //! `check` stage): the deque, idle and latch sources swap their `std::sync`
@@ -8,8 +9,8 @@
 //! code explored here is the code that ships — not a model of it.
 //!
 //! Deque invariants asserted across every explored interleaving (the idle
-//! protocol's and the latch's are stated in `idle_model/mod.rs` and
-//! `latch_model/mod.rs`):
+//! protocol's, the latch's and the parker's are stated in
+//! `idle_model/mod.rs`, `latch_model/mod.rs` and `parker_model/mod.rs`):
 //!
 //! * **No lost task, no double execution** — the jobs collected by the
 //!   owner (pops, seal drains) and the thieves partition the pushed set.
@@ -22,6 +23,7 @@
 
 mod idle_model;
 mod latch_model;
+mod parker_model;
 
 use cilk_check::{model_with, thread, Config};
 use cilk_deque::{Deque, Protocol, Steal, Stealer, Worker};
@@ -607,4 +609,33 @@ fn latch_one_setter_one_waiter() {
         latch_model::one_setter_one_waiter(cilk_runtime::LockLatch::new),
     );
     assert!(report.executions > 1_000, "expected a substantial exploration: {report:?}");
+}
+
+// ---------------------------------------------------------------------------
+// The parker: `cilk_runtime::Parker` itself — the idle workers' and the job
+// handles' one way to sleep — compiled against the checker's atomics and
+// park/unpark, under `parker_model`. `mutation.rs` runs the same model over
+// a shadow copy with the withdrawal or the token consumption dropped.
+// ---------------------------------------------------------------------------
+
+impl parker_model::Parker for cilk_runtime::Parker {
+    fn park(&self, timeout: std::time::Duration) -> bool {
+        self.park(timeout)
+    }
+    fn unpark(&self) {
+        self.unpark();
+    }
+}
+
+/// Each token consumed exactly once and no wake-up lost — through the
+/// address CAS, the latch's park half, a timed-out withdrawal and a
+/// withdrawal that loses to an `unpark` — with a stray `unpark` anywhere.
+#[test]
+fn parker_one_waiter_two_unparkers() {
+    let report = model_with(
+        "parker_one_waiter_two_unparkers",
+        &cfg(),
+        parker_model::one_waiter_two_unparkers(cilk_runtime::Parker::new),
+    );
+    assert!(report.executions > 100, "expected a substantial exploration: {report:?}");
 }

@@ -16,15 +16,20 @@
 //! re-scan, under the very model (`idle_model`) that `tests/models.rs`
 //! passes the shipping code through — and for its blocking latch: a shadow
 //! of `cilk_runtime::LockLatch` whose setter reads the waiter's handle after
-//! its swap, or unparks on the wrong transition, under `latch_model`.
+//! its swap, or unparks on the wrong transition, under `latch_model` — and
+//! for the parker built on that latch: a shadow of `cilk_runtime::Parker`
+//! that skips the withdrawal of a timed-out waiter or the consumption of a
+//! token, under `parker_model`.
 
 mod idle_model;
 mod latch_model;
+mod parker_model;
 
 use std::cell::Cell;
 use std::sync::atomic::AtomicUsize as RealUsize;
 use std::sync::atomic::Ordering::Relaxed as RealRelaxed;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use cilk_check::sync::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
 use cilk_check::{check, model_with, thread, Config, Mode};
@@ -728,6 +733,23 @@ impl ShadowLatch {
     }
 }
 
+impl ShadowLatch {
+    /// The park half of `wait`.
+    fn sleep_for(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now().checked_add(timeout);
+        let (unset, sleeping) = (LATCH_UNSET, LATCH_SLEEPING);
+        let _ = self.state.compare_exchange(unset, sleeping, Ordering::Relaxed, Ordering::Relaxed);
+        while !latch_model::Latch::probe(self) {
+            match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+                None => thread::park(),
+                Some(left) if left.is_zero() => return false,
+                Some(left) => thread::park_timeout(left),
+            }
+        }
+        true
+    }
+}
+
 impl latch_model::Latch for ShadowLatch {
     fn wait(&self) {
         // `WAIT_SPINS + WAIT_YIELDS` polls: the pauses are no yield points.
@@ -736,11 +758,7 @@ impl latch_model::Latch for ShadowLatch {
                 return;
             }
         }
-        let (unset, sleeping) = (LATCH_UNSET, LATCH_SLEEPING);
-        let _ = self.state.compare_exchange(unset, sleeping, Ordering::Relaxed, Ordering::Relaxed);
-        while !self.probe() {
-            thread::park();
-        }
+        self.sleep_for(Duration::MAX);
     }
 
     fn probe(&self) -> bool {
@@ -803,4 +821,142 @@ fn catches_latch_handle_read_after_swap() {
 #[test]
 fn catches_latch_unpark_on_unset() {
     assert_latch_caught("catches_latch_unpark_on_unset", LatchMutation::UnparkOnUnset, "a lost wake-up");
+}
+
+// ---------------------------------------------------------------------------
+// The parker's shadow: `cilk_runtime::Parker` copied operation for operation
+// over the shadow latch, which asserts on every access that the park that
+// built it has not returned. Each latch stays allocated after its park
+// returns, so a stale address in the word is safe to follow and check.
+// ---------------------------------------------------------------------------
+
+/// Which step of `Parker::park` to drop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum ParkerMutation {
+    None,
+    /// A timed-out waiter returns without taking its latch's address back:
+    /// a later `unpark` sets a latch whose frame has popped.
+    WithdrawSkipped,
+    /// The waiter never moves the word off `TOKEN`: the stale token cuts
+    /// the next park short.
+    ConsumeSkipped,
+    /// The token is consumed with a plain store after the look that found
+    /// it: an `unpark` that merged into the token in between is erased
+    /// without being acquired, and the waiter sleeps through its condition.
+    ConsumeStored,
+}
+
+const PARKER_EMPTY: usize = 0;
+const PARKER_TOKEN: usize = 1;
+
+struct ShadowParker {
+    mutation: ParkerMutation,
+    word: cilk_check::sync::atomic::AtomicUsize,
+    latches: Mutex<Vec<Arc<ShadowLatch>>>,
+}
+
+impl ShadowParker {
+    fn new(mutation: ParkerMutation) -> Self {
+        ShadowParker {
+            mutation,
+            word: cilk_check::sync::atomic::AtomicUsize::new(PARKER_EMPTY),
+            latches: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// `Parker::park` on `latch`, the frame's latch at `addr`.
+    fn park_on(&self, latch: &ShadowLatch, addr: usize, timeout: Duration) -> bool {
+        let (empty, token) = (PARKER_EMPTY, PARKER_TOKEN);
+        if let Err(seen) =
+            self.word.compare_exchange(empty, addr, Ordering::Release, Ordering::Relaxed)
+        {
+            assert_eq!(seen, token, "a parker has one waiter at a time");
+        } else if !latch.sleep_for(timeout) {
+            if self.mutation == ParkerMutation::WithdrawSkipped
+                || self.word.compare_exchange(addr, empty, Ordering::Relaxed, Ordering::Relaxed).is_ok()
+            {
+                return false;
+            }
+            latch.sleep_for(Duration::MAX);
+        }
+        match self.mutation {
+            ParkerMutation::ConsumeSkipped => {}
+            ParkerMutation::ConsumeStored => self.word.store(empty, Ordering::Relaxed),
+            _ => {
+                self.word.swap(empty, Ordering::Acquire);
+            }
+        }
+        true
+    }
+}
+
+impl parker_model::Parker for ShadowParker {
+    fn park(&self, timeout: Duration) -> bool {
+        let latch = Arc::new(ShadowLatch::new(LatchMutation::None));
+        self.latches.lock().unwrap().push(Arc::clone(&latch));
+        let woken = self.park_on(&latch, Arc::as_ptr(&latch) as usize, timeout);
+        latch_model::Latch::retire(&*latch);
+        woken
+    }
+
+    fn unpark(&self) {
+        let seen = self.word.swap(PARKER_TOKEN, Ordering::AcqRel);
+        if seen > PARKER_TOKEN {
+            // SAFETY: `latches` keeps every latch allocated; the shadow
+            // latch asserts that its park has not returned.
+            unsafe { <ShadowLatch as latch_model::Latch>::set(seen as *const ShadowLatch) };
+        }
+    }
+}
+
+/// The faithful shadow survives the model, as the shipping parker does in
+/// `models.rs` — the mutants below differ from it by one step.
+#[test]
+fn faithful_parker_shadow_passes() {
+    let model = parker_model::one_waiter_two_unparkers(|| ShadowParker::new(ParkerMutation::None));
+    model_with("faithful_parker_shadow_passes", &cfg(), model);
+}
+
+fn assert_parker_caught(name: &str, mutation: ParkerMutation, expected: &str) {
+    let model = parker_model::one_waiter_two_unparkers(move || ShadowParker::new(mutation));
+    let report = check(name, &cfg(), Mode::Exhaustive, model);
+    let failure = report
+        .failure
+        .unwrap_or_else(|| panic!("planted mutation not caught in {} executions", report.executions));
+    assert!(failure.message.contains(expected), "unexpected counterexample: {}", failure.message);
+    assert!(!failure.schedule.is_empty(), "counterexample must be replayable");
+}
+
+/// The waiter times out and returns with its address still in the word; the
+/// stray `unpark` swaps it out and sets a latch whose frame is gone.
+#[test]
+fn catches_parker_withdraw_skipped() {
+    assert_parker_caught(
+        "catches_parker_withdraw_skipped",
+        ParkerMutation::WithdrawSkipped,
+        "after its frame was popped",
+    );
+}
+
+/// The token that woke the first park is still in the word when the
+/// second park starts, which returns on it before the stray unparks.
+#[test]
+fn catches_parker_consume_skipped() {
+    assert_parker_caught(
+        "catches_parker_consume_skipped",
+        ParkerMutation::ConsumeSkipped,
+        "no unpark handed over",
+    );
+}
+
+/// A token consumed by a store instead of a swap loses the unparker that
+/// merged into it: the waiter's look at its flag can still read the old
+/// value, and it parks for good.
+#[test]
+fn catches_parker_consume_stored() {
+    assert_parker_caught(
+        "catches_parker_consume_stored",
+        ParkerMutation::ConsumeStored,
+        "a lost wake-up",
+    );
 }

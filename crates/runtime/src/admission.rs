@@ -305,7 +305,8 @@ pub enum RejectReason {
     /// The tenant is at its in-flight quota (`fair_share × weight + burst`).
     QuotaExceeded,
     /// The pool shed the submission: it is degraded (zero live workers
-    /// with no recovery possible) — or an injected [`FaultAction::Die`]
+    /// with no recovery possible) — or an injected
+    /// [`FaultAction::Die`](crate::fault::FaultAction::Die)
     /// (see [`crate::fault::FaultSite::Inject`]) simulated exactly that
     /// at the admission boundary.
     Shed,

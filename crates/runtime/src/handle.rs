@@ -8,7 +8,7 @@
 //! the moment the job is queued. The handle can be polled, waited with a
 //! timeout, waited to completion (propagating a captured panic payload
 //! exactly like the synchronous path), or cancelled. A blocked waiter
-//! sleeps on the handle's condvar until the job resolves; only on a
+//! sleeps on the handle's [`Parker`] until the job resolves; only on a
 //! supervised pool does it also wake once per watchdog tick, to rescue
 //! the job if the pool has died ([`Registry::rescue_step`]).
 //!
@@ -29,147 +29,112 @@
 //! `admitted == completed + cancelled` therefore still holds for any mix
 //! of synchronous and asynchronous submissions.
 //!
-//! # Cancellation protocol
+//! # Phases and cancellation
 //!
-//! A [`JobRef`] must be executed exactly once across all copies.
-//! `cancel` first removes the job from the injection shard
-//! ([`Injector::cancel`]); success means no worker has claimed it and none
-//! ever will, so the canceller owns the single execution. It marks the
-//! shared state `Cancelled` and then performs that execution — which
-//! observes the mark, frees the boxed closure without running it, and
-//! returns. A worker that claimed the job first makes [`Injector::cancel`]
-//! fail, and `cancel` reports `false` (cancel-after-start is refused; the
-//! result still arrives through the handle). The shard is searched by the
-//! job's address, so the search only happens while the handle's state is
-//! still `Queued` — execution leaves that state before it frees the job,
-//! and a freed address may already belong to a later submission.
+//! A handle and its job are one allocation — a phase word, the result
+//! cell, the waiter's [`Parker`] and, until it runs, the closure — with one
+//! reference held by the handle and one by the injection queue, which the
+//! job's single execution drops (docs/scheduler.md, "Blocking"). The phase
+//! goes `QUEUED → RUNNING → DONE` when the job runs, or `QUEUED →
+//! CANCELLED` when `cancel` wins. The ledger is counted before a terminal
+//! phase is published, and the result before `DONE`. `wait_timeout`
+//! borrows the handle mutably, so the parker never has two waiters.
+//!
+//! A [`JobRef`] must be executed exactly once across all copies. `cancel`
+//! removes the job from its injection shard ([`Injector::cancel`]);
+//! success means no worker claimed it or ever will, so the canceller owns
+//! the single execution: it publishes `CANCELLED` and performs it, which
+//! drops the closure un-run. Failure means a worker claimed it first, and
+//! `cancel` reports `false`. The shard is searched by the job's address,
+//! which a later submission may reuse once the allocation is freed — and
+//! the handle's own reference keeps it alive while the handle can search.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::admission::{Priority, SubmitError, TenantId};
 use crate::job::{Job, JobRef, JobResult};
-use crate::latch::Probe;
-use crate::poison;
+use crate::latch::{Parker, Probe};
 use crate::probe::ProbeEvent;
 use crate::registry::{Placement, Registry, WorkerThread};
 use crate::unwind;
 
-/// Where an async job stands, guarded by [`Shared::state`].
-enum HandleState<R> {
-    /// Queued in an injection shard; no worker has claimed it.
-    Queued,
-    /// A worker (or the degraded rescue) is running the closure.
-    Running,
-    /// Finished: a value, or the captured panic payload.
-    Done(JobResult<R>),
-    /// [`JobHandle::cancel`] won the race; the closure never ran.
-    Cancelled,
+/// In an injection shard; no worker has claimed the job.
+const QUEUED: usize = 0;
+/// A worker (or the degraded rescue) is running the closure.
+const RUNNING: usize = 1;
+/// Finished: the result cell holds a value or a captured panic payload.
+const DONE: usize = 2;
+/// [`JobHandle::cancel`] won the race; the closure never ran.
+const CANCELLED: usize = 3;
+
+/// The one allocation behind a [`JobHandle`] and its queued [`JobRef`].
+struct AsyncJob<R> {
+    /// `QUEUED`, `RUNNING`, `DONE` or `CANCELLED` (see the module docs).
+    phase: AtomicUsize,
+    /// Written by the job's execution before it publishes `DONE`.
+    result: UnsafeCell<JobResult<R>>,
+    /// Where the handle's one waiter sleeps until the job resolves.
+    waiter: Parker,
+    /// Taken by the job's single execution.
+    func: UnsafeCell<Option<Box<dyn FnOnce() -> R + Send>>>,
+    registry: Arc<Registry>,
+    tenant: TenantId,
 }
 
-/// State shared between a [`JobHandle`] and its in-flight [`AsyncJob`].
-struct Shared<R> {
-    /// Lock-free "finished or cancelled" flag, set *after* the state
-    /// transition below: lets a worker's steal-while-wait loop poll the
-    /// handle without taking the mutex on every spin.
-    finished: AtomicBool,
-    state: Mutex<HandleState<R>>,
-    cvar: Condvar,
-}
-
-impl<R> Shared<R> {
-    fn new() -> Self {
-        Shared {
-            finished: AtomicBool::new(false),
-            state: Mutex::new(HandleState::Queued),
-            cvar: Condvar::new(),
-        }
-    }
-
-    /// Publishes a terminal state (`Done` or `Cancelled`) and wakes
-    /// waiters.
-    fn finish(&self, terminal: HandleState<R>) {
-        let mut state = poison::recover(self.state.lock());
-        *state = terminal;
-        drop(state);
-        self.finished.store(true, Ordering::Release);
-        self.cvar.notify_all();
-    }
-}
+// SAFETY: the cells are written only by the job's single execution, which
+// takes `func` and fills `result` before its `Release` store of `DONE`;
+// `result` is read only by the handle's owner after an `Acquire` load of
+// a terminal phase. Everything else is `Sync`.
+unsafe impl<R: Send> Sync for AsyncJob<R> {}
 
 /// Lets a worker of the same pool wait on a handle with the thief
 /// protocol (steal and execute other work until the handle resolves)
 /// instead of blocking — the same discipline `join` uses.
-impl<R> Probe for Shared<R> {
+impl<R> Probe for AsyncJob<R> {
     #[inline]
     fn probe(&self) -> bool {
-        self.finished.load(Ordering::Acquire)
+        self.phase.load(Ordering::Acquire) >= DONE
     }
 }
 
-/// The heap job behind a [`JobHandle`]: owns the closure, the registry
-/// (for completion accounting) and the shared result slot.
-struct AsyncJob<F, R>
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    registry: Arc<Registry>,
-    tenant: TenantId,
-    shared: Arc<Shared<R>>,
-    func: F,
-}
-
-impl<F, R> Job for AsyncJob<F, R>
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
+impl<R: Send> Job for AsyncJob<R> {
     unsafe fn execute(this: *const ()) {
-        let this = this as *mut AsyncJob<F, R>;
-        {
-            // Leave `Queued` while the box is still allocated: the handle
-            // finds the job in the injection queue by this address, which
-            // the allocator may hand to the next submission once freed.
-            let shared = &(*this).shared;
-            let mut state = poison::recover(shared.state.lock());
-            if matches!(*state, HandleState::Cancelled) {
-                // `cancel` owns this execution (it removed the job from
-                // the queue first) and has already done the accounting;
-                // dropping `func` un-run is all that is left.
-                drop(state);
-                drop(Box::from_raw(this));
-                return;
-            }
-            *state = HandleState::Running;
+        // The queue's reference, handed to this single execution.
+        let job = Arc::from_raw(this.cast::<Self>());
+        let func = (*job.func.get()).take().expect("async job executed twice");
+        if job.phase.load(Ordering::Relaxed) == CANCELLED {
+            // `cancel` owns this execution (it removed the job from the
+            // queue first) and has already done the accounting; dropping
+            // `func` un-run is all that is left.
+            return;
         }
-        let AsyncJob { registry, tenant, shared, func } = *Box::from_raw(this);
-        let wt = WorkerThread::current();
-        let result = if wt.is_null() {
+        job.phase.store(RUNNING, Ordering::Relaxed);
+        let result = if WorkerThread::current().is_null() {
             // Degraded rescue: the pool died with the job still queued and
             // the waiter is honoring the admission on its own thread. Run
             // inside a transient serial worker context so nested
             // `join`/`scope` calls stay on this pool (serial elision).
-            registry.run_in_place(|_| run_captured(func))
+            job.registry.run_in_place(|_| run_captured(func))
         } else {
             run_captured(func)
         };
+        *job.result.get() = result;
         // Completion is counted before the result is published: a waiter
-        // released by the condvar must observe books that already balance
+        // that reads `DONE` must observe books that already balance
         // (`admitted == completed + cancelled`, quota slot returned).
-        registry.injector.note_completed(tenant);
-        shared.finish(HandleState::Done(result));
+        job.registry.injector.note_completed(job.tenant);
+        job.phase.store(DONE, Ordering::Release);
+        job.waiter.unpark();
     }
 }
 
 /// Runs the closure, converting an unwind into the `Panic` result the
 /// handle resumes at `wait` — identical to the synchronous path's
 /// panic-payload propagation.
-fn run_captured<F, R>(func: F) -> JobResult<R>
-where
-    F: FnOnce() -> R,
-{
+fn run_captured<R>(func: impl FnOnce() -> R) -> JobResult<R> {
     match unwind::halt_unwinding(func) {
         Ok(value) => JobResult::Ok(value),
         Err(payload) => {
@@ -192,57 +157,39 @@ where
 /// and its quota is still released on completion; only the result is
 /// discarded.
 pub struct JobHandle<R: Send + 'static> {
-    shared: Arc<Shared<R>>,
-    registry: Arc<Registry>,
-    tenant: TenantId,
-    job: JobRef,
+    job: Arc<AsyncJob<R>>,
 }
-
-// SAFETY: the embedded `JobRef` is only ever used under the exactly-once
-// execution protocol documented in the module header (`Injector::cancel`
-// success grants exclusive execution rights); the closure and result are
-// `Send` by bound. Shared access (`&JobHandle`) only reads the job ref to
-// attempt queue removal, which is internally synchronized by the shard
-// lock.
-unsafe impl<R: Send + 'static> Send for JobHandle<R> {}
-// SAFETY: see `Send` above: `&JobHandle` only reads the job ref to attempt
-// its removal under the shard lock.
-unsafe impl<R: Send + 'static> Sync for JobHandle<R> {}
 
 impl<R: Send + 'static> JobHandle<R> {
     /// The tenant this submission is billed to.
     pub fn tenant(&self) -> TenantId {
-        self.tenant
+        self.job.tenant
     }
 
     /// `true` once the job has finished or been cancelled — i.e. once
     /// [`wait`](JobHandle::wait) would return without blocking. Never
     /// blocks; one atomic load.
     pub fn poll(&self) -> bool {
-        self.shared.probe()
+        self.job.probe()
     }
 
     /// Waits until the job resolves or `timeout` elapses; `true` when
     /// resolved (finished or cancelled). The result stays in the handle —
     /// follow up with [`wait`](JobHandle::wait) to take it.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let start = Instant::now();
-        loop {
-            if self.shared.probe() {
-                return true;
-            }
-            let Some(remaining) = timeout.checked_sub(start.elapsed()) else {
-                return false;
-            };
+    pub fn wait_timeout(&mut self, timeout: Duration) -> bool {
+        let deadline = Instant::now().checked_add(timeout);
+        while !self.poll() {
             self.rescue_if_degraded();
-            let state = poison::recover(self.shared.state.lock());
-            if matches!(*state, HandleState::Done(_) | HandleState::Cancelled) {
-                return true;
+            let left =
+                deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+            if left.is_zero() {
+                return self.poll();
             }
-            let step = self.registry.rescue_step().map_or(remaining, |s| remaining.min(s));
-            let (guard, _) = poison::recover(self.shared.cvar.wait_timeout(state, step));
-            drop(guard);
+            let step = self.job.registry.rescue_step().map_or(left, |s| left.min(s));
+            // A stray or stale token costs one more look.
+            self.job.waiter.park(step);
         }
+        true
     }
 
     /// Waits for the job and takes its outcome: `Some(value)` on
@@ -254,24 +201,23 @@ impl<R: Send + 'static> JobHandle<R> {
     /// protocol (stealing and executing other work) instead of blocking,
     /// so handle waits compose with fork-join work without idling a
     /// processor.
-    pub fn wait(self) -> Option<R> {
+    pub fn wait(mut self) -> Option<R> {
         let wt = WorkerThread::current();
         // SAFETY: a non-null pointer names this thread's worker context,
         // live for as long as the worker runs the job that called us.
         if let Some(wt) = unsafe { wt.as_ref() } {
-            if Arc::ptr_eq(wt.registry(), &self.registry) {
-                wt.wait_until(&*self.shared);
+            if Arc::ptr_eq(wt.registry(), &self.job.registry) {
+                wt.wait_until(&*self.job);
             }
         }
-        while !self.poll() && !self.wait_timeout(Duration::MAX) {}
-        // The placeholder is never observed: this handle is consumed.
-        let resolved = std::mem::replace(
-            &mut *poison::recover(self.shared.state.lock()),
-            HandleState::Cancelled,
-        );
-        match resolved {
-            HandleState::Done(result) => Some(result.into_return_value()),
-            _ => None,
+        if !self.poll() {
+            self.wait_timeout(Duration::MAX);
+        }
+        // SAFETY: a terminal phase was read with `Acquire`, so the
+        // execution is done with the cell; this handle is consumed.
+        match std::mem::replace(unsafe { &mut *self.job.result.get() }, JobResult::None) {
+            JobResult::None => None,
+            result => Some(result.into_return_value()),
         }
     }
 
@@ -281,40 +227,35 @@ impl<R: Send + 'static> JobHandle<R> {
     /// worker already claimed the job — cancel-after-start is refused, the
     /// job runs to completion and releases its own quota exactly once.
     pub fn cancel(&self) -> bool {
-        if !self.take_from_queue(|state| {
-            // Count the cancellation before publishing the terminal state
-            // — a waiter released by the condvar must observe books that
-            // already balance — and publish `Cancelled` before executing
-            // so that execution observes the mark and drops the closure
-            // un-run.
-            self.registry.injector.note_cancelled(self.tenant);
-            self.registry.probe(ProbeEvent::JobCancelled { tenant: self.tenant.0 });
-            *state = HandleState::Cancelled;
-        }) {
+        if !self.take_from_queue() {
             return false;
         }
-        self.shared.finished.store(true, Ordering::Release);
-        self.shared.cvar.notify_all();
+        let AsyncJob { registry, tenant, .. } = &*self.job;
+        // Counted before the phase is published: a `poll` that reads
+        // `CANCELLED` must observe books that already balance. Nobody is
+        // parked to be woken: waiting borrows the handle mutably.
+        registry.injector.note_cancelled(*tenant);
+        registry.probe(ProbeEvent::JobCancelled { tenant: tenant.0 });
+        self.job.phase.store(CANCELLED, Ordering::Release);
         // SAFETY: exclusive execution right established above; executes
         // the job exactly once (as a drop).
-        unsafe { self.job.execute() };
+        unsafe { self.job_ref().execute() };
         true
     }
 
     /// Removes the job from its injection shard if no worker has claimed
-    /// it; `true` grants the caller the job's single execution, after
-    /// `on_removed` has run under the state lock. The queue is searched by
-    /// the job's address, which only identifies this job while its box is
-    /// allocated — guaranteed while the state is `Queued`, since execution
-    /// leaves that state (under this lock) before freeing the box.
-    fn take_from_queue(&self, on_removed: impl FnOnce(&mut HandleState<R>)) -> bool {
-        let mut state = poison::recover(self.shared.state.lock());
-        let removed = matches!(*state, HandleState::Queued)
-            && self.registry.injector.cancel(self.job);
-        if removed {
-            on_removed(&mut state);
-        }
-        removed
+    /// it; `true` grants the caller the job's single execution. The search
+    /// is by address, which `self.job` keeps this job's throughout.
+    fn take_from_queue(&self) -> bool {
+        self.job.phase.load(Ordering::Relaxed) == QUEUED
+            && self.job.registry.injector.cancel(self.job_ref())
+    }
+
+    /// The job's identity in the injection queue.
+    fn job_ref(&self) -> JobRef {
+        // SAFETY: `self.job` keeps the allocation alive while the reference
+        // is searched for, and the queue's own reference while it executes.
+        unsafe { JobRef::new(Arc::as_ptr(&self.job)) }
     }
 
     /// A fully dead pool (zero live workers, no recovery possible) can
@@ -322,10 +263,10 @@ impl<R: Send + 'static> JobHandle<R> {
     /// this thread instead — completed, not cancelled, exactly like the
     /// synchronous path's degraded rescue.
     fn rescue_if_degraded(&self) {
-        if self.registry.degraded_serial() && self.take_from_queue(|_| {}) {
+        if self.job.registry.degraded_serial() && self.take_from_queue() {
             // SAFETY: queue removal grants the exclusive execution right;
             // the job body does its own completion accounting.
-            unsafe { self.job.execute() };
+            unsafe { self.job_ref().execute() };
         }
     }
 }
@@ -333,7 +274,7 @@ impl<R: Send + 'static> JobHandle<R> {
 impl<R: Send + 'static> std::fmt::Debug for JobHandle<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobHandle")
-            .field("tenant", &self.tenant)
+            .field("tenant", &self.job.tenant)
             .field("resolved", &self.poll())
             .finish_non_exhaustive()
     }
@@ -354,31 +295,35 @@ impl Registry {
         OP: FnOnce() -> R + Send + 'static,
         R: Send + 'static,
     {
-        let shared = Arc::new(Shared::new());
-        let unqueued = Unqueued(Box::into_raw(Box::new(AsyncJob {
-            registry: Arc::clone(self),
-            tenant,
-            shared: Arc::clone(&shared),
-            func: op,
-        })));
-        // SAFETY: the box stays valid until the job's single execution
-        // (worker claim, cancel-drop, or degraded rescue) reclaims it;
-        // until admission queues it, `unqueued` owns it.
+        let handle = JobHandle {
+            job: Arc::new(AsyncJob {
+                phase: AtomicUsize::new(QUEUED),
+                result: UnsafeCell::new(JobResult::None),
+                waiter: Parker::new(),
+                func: UnsafeCell::new(Some(Box::new(op))),
+                registry: Arc::clone(self),
+                tenant,
+            }),
+        };
+        let unqueued = Unqueued(Arc::into_raw(Arc::clone(&handle.job)));
+        // SAFETY: the queue's reference keeps the job alive until its
+        // single execution (worker claim, cancel-drop, or degraded rescue)
+        // drops it; until admission queues it, `unqueued` owns it.
         let job = unsafe { JobRef::new(unqueued.0) };
         self.admit(tenant, Placement::Queue(priority, job))?;
         std::mem::forget(unqueued);
-        Ok(JobHandle { shared, registry: Arc::clone(self), tenant, job })
+        Ok(handle)
     }
 }
 
-/// Owns a boxed job until admission queues it: a refusal, or an `Inject`
-/// fault unwinding out of admission, frees it here without running it.
-struct Unqueued<T>(*mut T);
+/// Owns the queue's reference to a job until admission queues it: a
+/// refusal, or an `Inject` fault unwinding out of admission, drops it here.
+struct Unqueued<T>(*const T);
 
 impl<T> Drop for Unqueued<T> {
     fn drop(&mut self) {
-        // SAFETY: the pointer came from `Box::into_raw`, and the job was
+        // SAFETY: the pointer came from `Arc::into_raw`, and the job was
         // never queued, so nothing else can reach or execute it.
-        unsafe { drop(Box::from_raw(self.0)) };
+        unsafe { drop(Arc::from_raw(self.0)) };
     }
 }

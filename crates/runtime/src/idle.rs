@@ -3,7 +3,7 @@
 //! The paper's scheduler pays for communication "only when a worker runs
 //! out of work" (§3.2), so a spawn that nobody can steal must wake nobody.
 //! A worker with nothing to do *searches* for a few microseconds, then
-//! *parks* on its own parker with no timeout; a producer notifies only when
+//! *parks* on its slot's parker with no timeout; a producer notifies only when
 //! work became visible (an injector enqueue or a deque publication) and
 //! wakes at most one parked worker, and only if nobody is searching — the
 //! woken worker counts as searching on the waker's behalf, and the last
@@ -17,7 +17,10 @@
 //! sequences side by side. Like [`crate::lifecycle`], the handshake is a
 //! pure state machine over an environment trait: `cilk-check` explores
 //! this very code (`crates/check/tests/models.rs`), and the registry
-//! implements [`IdleEnv`] over real deques and [`Parker`]s.
+//! implements [`IdleEnv`] over real deques and one parker per slot. The
+//! parker is the runtime's one way to sleep (`crate::latch`): a state word
+//! and a latch in the sleeper's frame, no lock and no condition variable,
+//! and model-checked on its own (`parker_model`).
 
 // The model-checker seam (see `cilk-deque`): under `--cfg cilk_check` the
 // state word, the fences and the lock are cilk-check's recorded ones.
@@ -155,29 +158,5 @@ impl Idle {
         for slot in woken {
             env.unblock(slot);
         }
-    }
-}
-
-/// One worker slot's parker: a token under a lock, so it belongs to the
-/// slot rather than to a thread (a respawned worker inherits it) and a
-/// token handed over before the worker blocks is not lost.
-#[derive(Debug, Default)]
-pub(crate) struct Parker {
-    token: std::sync::Mutex<bool>,
-    handed_over: std::sync::Condvar,
-}
-
-impl Parker {
-    /// Blocks the slot's worker (the caller) until it holds the token, and
-    /// consumes it.
-    pub(crate) fn park(&self) {
-        let token = poison::recover(self.token.lock());
-        *poison::recover(self.handed_over.wait_while(token, |token| !*token)) = false;
-    }
-
-    /// Hands the token over.
-    pub(crate) fn unpark(&self) {
-        *poison::recover(self.token.lock()) = true;
-        self.handed_over.notify_one();
     }
 }

@@ -6,6 +6,8 @@
 //! Waiters either spin-and-steal (workers, see
 //! [`crate::registry::WorkerThread::wait_until`]) or poll briefly and then
 //! park (external threads, [`LockLatch`]).
+//! A `LockLatch` is the only place in the runtime a thread sleeps; an idle
+//! worker or a handle's waiter parks on one through a [`Parker`].
 
 // The model-checker seam (see `crate::idle`): cilk-check mirrors the
 // `std` paths used here, park/unpark included.
@@ -107,6 +109,12 @@ impl LockLatch {
             registry::pause(round, WAIT_SPINS);
         }
         // Counted from here: the polling above is a few microseconds.
+        self.sleep_for(timeout)
+    }
+
+    /// [`LockLatch::wait_for`] with no polling: announces `SLEEPING` and
+    /// parks until the latch is set or `timeout` elapses.
+    fn sleep_for(&self, timeout: Duration) -> bool {
         let deadline = Instant::now().checked_add(timeout);
         // Fails on `SET`, or on `SLEEPING` announced by an earlier call.
         // Relaxed: this and the setter's swap are read-modify-writes of one
@@ -143,6 +151,64 @@ impl Latch for LockLatch {
 impl Probe for LockLatch {
     fn probe(&self) -> bool {
         self.state.load(Ordering::Acquire) == SET
+    }
+}
+
+/// A [`Parker`] word with no token and no waiter.
+const EMPTY: usize = 0;
+/// A [`Parker`] word holding a token no `park` has consumed yet.
+const TOKEN: usize = 1;
+
+/// A wake-up token for one waiter at a time: a word holding `EMPTY`,
+/// `TOKEN`, or the address of a [`LockLatch`] in the parked waiter's frame.
+/// The latch carries the waiter's `Thread`, so the parker belongs to no
+/// thread. Two unparks with no park between them hand over one token.
+pub struct Parker {
+    word: AtomicUsize,
+}
+
+impl Parker {
+    /// A parker with no token.
+    pub const fn new() -> Self {
+        Parker { word: AtomicUsize::new(EMPTY) }
+    }
+
+    /// Blocks until a token arrives or `timeout` elapses, and consumes it;
+    /// returns whether there was one. No polling: the caller has looked for
+    /// its condition. One thread at a time may park.
+    pub fn park(&self, timeout: Duration) -> bool {
+        let latch = LockLatch::new();
+        let addr = &latch as *const LockLatch as usize;
+        // Release: an `unpark` that swaps the address out reads the latch.
+        if let Err(seen) =
+            self.word.compare_exchange(EMPTY, addr, Ordering::Release, Ordering::Relaxed)
+        {
+            debug_assert_eq!(seen, TOKEN, "a parker has one waiter at a time");
+        } else if !latch.sleep_for(timeout) {
+            // Timed out: take the address back before this frame pops. If
+            // the word no longer holds it, an `unpark` swapped it out and
+            // owns the latch, so wait for that `unpark` to set it.
+            if self.word.compare_exchange(addr, EMPTY, Ordering::Relaxed, Ordering::Relaxed).is_ok()
+            {
+                return false;
+            }
+            latch.sleep_for(Duration::MAX);
+        }
+        // A swap, not a store: an `unpark` that merged into the token since
+        // the look above is acquired here, not erased unseen.
+        self.word.swap(EMPTY, Ordering::Acquire);
+        true
+    }
+
+    /// Hands over the token, waking the waiter if one is parked.
+    pub fn unpark(&self) {
+        // Acquire: reads the latch it swaps out. Release: for the waiter.
+        let seen = self.word.swap(TOKEN, Ordering::AcqRel);
+        if seen > TOKEN {
+            // SAFETY: the swap took the address, so the waiter cannot withdraw
+            // it and waits in `park` for this `set`: the latch is live.
+            unsafe { Latch::set(seen as *const LockLatch) };
+        }
     }
 }
 
@@ -259,6 +325,30 @@ mod tests {
         });
         assert!(l.wait_for(Duration::from_secs(30)), "set latch is observed");
         t.join().expect("setter panicked");
+    }
+
+    #[test]
+    fn parker_consumes_each_token_once() {
+        let p = Parker::new();
+        assert!(!p.park(Duration::from_millis(5)), "no token: the park times out");
+        p.unpark();
+        p.unpark();
+        assert!(p.park(Duration::MAX), "a token handed over before the park");
+        assert!(!p.park(Duration::from_millis(5)), "two unparks hand over one token");
+    }
+
+    #[test]
+    fn parker_wakes_a_parked_waiter() {
+        let p = Arc::new(Parker::new());
+        for _ in 0..2 {
+            let p2 = Arc::clone(&p);
+            let t = thread::spawn(move || {
+                thread::sleep(Duration::from_millis(10));
+                p2.unpark();
+            });
+            assert!(p.park(Duration::MAX));
+            t.join().expect("unparker panicked");
+        }
     }
 
     #[test]

@@ -55,9 +55,10 @@ mod scope;
 mod supervisor;
 mod unwind;
 
-// For cilk-check's model of the blocking latch (`crates/check/tests/models.rs`).
+// For cilk-check's models of the blocking latch and the parker built on it
+// (`crates/check/tests/models.rs`).
 #[cfg(cilk_check)]
-pub use latch::{Latch, LockLatch, Probe};
+pub use latch::{Latch, LockLatch, Parker, Probe};
 pub use admission::{
     AdmissionPolicy, AdmissionReport, Overloaded, Priority, RejectReason, SubmitError,
     TenantId, TenantStats,

@@ -4,13 +4,13 @@
 //! the guard, and every subsequent `.lock().unwrap()` then panics too —
 //! so one worker's panic cascades into *unrelated* workers touching the
 //! same scheduler lock ("Fearless Concurrency?" catalogues exactly this
-//! pattern in runtime-internal code). The runtime's locks all guard state
-//! whose invariants hold between individual operations:
-//!
-//! * the injected-job queue (`VecDeque<JobRef>`: `push_back`/`pop_front`
-//!   are atomic with respect to panics — no closure runs under the lock),
-//! * the idle protocol's parked-slot stack and each worker's parker token
-//!   (a single `bool` store).
+//! pattern in runtime-internal code). No runtime thread sleeps on a lock:
+//! every sleeper parks on a `LockLatch` (`crate::latch`). The remaining
+//! locks all guard state whose invariants hold between individual
+//! operations — no user closure runs under any of them:
+//! the admission shards and breaker table, the idle protocol's parked-slot
+//! stack, the supervisor's lists and the pool's join handles, the
+//! `cilk_for` panic and scope measure slots, and the probe consumer table.
 //!
 //! A panic can therefore never leave them mid-mutation, and recovering the
 //! guard from a poisoned lock is sound. [`recover`] documents that

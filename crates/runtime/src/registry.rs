@@ -20,9 +20,9 @@ use cilk_deque::{Protocol, Steal, Stealer, Worker};
 use crate::admission::{Injector, Overloaded, Priority, RejectReason, SubmitError, TenantId};
 use crate::config::{BuildPoolError, Config, RuntimeStalled};
 use crate::fault::{self, FaultAction, FaultHandler, FaultSite};
-use crate::idle::{Idle, IdleEnv, Parker};
+use crate::idle::{Idle, IdleEnv};
 use crate::job::{JobRef, StackJob};
-use crate::latch::{LockLatch, Probe};
+use crate::latch::{LockLatch, Parker, Probe};
 use crate::lifecycle::{self, RetireEnv};
 use crate::metrics::{CounterBlock, MetricsSnapshot};
 use crate::probe::{self, ProbeEvent};
@@ -46,7 +46,8 @@ struct ThreadInfo {
     /// continuation whose working set this worker just touched, so its
     /// deque is the likeliest home of cache-warm related work.
     last_thief: AtomicUsize,
-    /// Where this slot's worker blocks when the idle protocol parks it.
+    /// Where this slot's worker blocks when the idle protocol parks it:
+    /// the slot's, not the thread's, so a respawned worker parks on it too.
     parker: Parker,
 }
 
@@ -59,8 +60,8 @@ const SEARCH_YIELDS: u32 = 2;
 // A woken worker looks for the work it was woken for in its first round.
 const _: () = assert!(SEARCH_SPINS + SEARCH_YIELDS > 0);
 
-/// Rounds a client blocked in [`LockLatch::wait`] polls before it parks,
-/// paced as a search (docs/scheduler.md, "Client wait", has the ablations).
+/// Rounds a client blocked in [`LockLatch::wait_for`] polls before it parks,
+/// paced as a search (docs/scheduler.md, "Blocking", has the ablations).
 pub(crate) const WAIT_SPINS: u32 = 16;
 pub(crate) const WAIT_YIELDS: u32 = 8;
 
@@ -125,7 +126,7 @@ impl Registry {
             infos.push(ThreadInfo {
                 stealer: deque.stealer(),
                 last_thief: AtomicUsize::new(NO_AFFINITY),
-                parker: Parker::default(),
+                parker: Parker::new(),
             });
             deques.push(deque.into_worker_with(Protocol::fence_elided()));
         }
@@ -1168,7 +1169,7 @@ impl IdleEnv for RegistryIdle<'_> {
         if let Some(sup) = self.registry.supervision() {
             sup.beat(slot, supervisor::BeatSite::Parked);
         }
-        self.registry.thread_infos[slot].parker.park();
+        self.registry.thread_infos[slot].parker.park(Duration::MAX);
     }
 
     fn unblock(&self, slot: usize) {

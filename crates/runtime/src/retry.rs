@@ -29,8 +29,8 @@ use cilk_testkit::Rng;
 
 use crate::admission::{RejectReason, SubmitError};
 
-/// Backoff configuration for [`submit_with_retry`]
-/// ([`ThreadPool::submit_with_retry`](crate::ThreadPool::submit_with_retry)).
+/// Backoff configuration for
+/// [`ThreadPool::submit_with_retry`](crate::ThreadPool::submit_with_retry).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: u32,

@@ -11,7 +11,9 @@
 //!   ledger balances: `admitted == completed + cancelled`, `in_flight`
 //!   returns to zero, and a successfully cancelled closure never ran;
 //! * `cancel()` is exactly-once even when racing callers: one winner,
-//!   everyone else refused, one quota slot released.
+//!   everyone else refused, one quota slot released;
+//! * a handle wait ends only once the job resolves, whatever unparks its
+//!   thread, and a timed-out wait can be taken up again on another thread.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -183,7 +185,7 @@ forall! {
             .expect("holder admitted");
         started_rx.recv().expect("holder running");
 
-        let doomed = pool.submit_async(tenant, || ()).expect("queued behind the gate");
+        let mut doomed = pool.submit_async(tenant, || ()).expect("queued behind the gate");
         let wins = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..racers {
@@ -208,4 +210,61 @@ forall! {
         assert_eq!(stats.cancelled, 1, "{stats:?}");
         assert_eq!(stats.in_flight, 0, "{stats:?}");
     }
+}
+
+/// A job gated until `release` is sent, then returning whether `released`
+/// was set before it — so a `Some(true)` proves the wait ended after it.
+fn gated_job(
+    pool: &ThreadPool,
+) -> (cilk::runtime::JobHandle<bool>, Arc<AtomicBool>, mpsc::Sender<()>) {
+    let released = Arc::new(AtomicBool::new(false));
+    let (release, gate) = mpsc::channel::<()>();
+    let flag = Arc::clone(&released);
+    let handle = pool
+        .submit_async(TenantId(24), move || {
+            gate.recv().unwrap();
+            flag.load(Ordering::SeqCst)
+        })
+        .expect("no policy, no refusal");
+    (handle, released, release)
+}
+
+/// Unparks aimed at the waiting thread (a spurious wake-up, or a token left
+/// over from another wait) never end a handle wait early.
+#[test]
+fn handle_wait_ignores_stray_unparks() {
+    let pool = ThreadPool::with_config(Config::new().num_workers(1)).expect("pool builds");
+    let (handle, released, release) = gated_job(&pool);
+    let waiter = std::thread::current();
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                waiter.unpark();
+                std::thread::yield_now();
+            }
+        });
+        s.spawn(|| {
+            std::thread::sleep(Duration::from_millis(20));
+            released.store(true, Ordering::SeqCst);
+            release.send(()).unwrap();
+        });
+        assert_eq!(handle.wait(), Some(true), "wait returned before the job finished");
+        stop.store(true, Ordering::Relaxed);
+    });
+}
+
+/// A wait that timed out withdrew from the handle's parker: the handle can
+/// move to another thread and be woken there.
+#[test]
+fn timed_out_handle_waits_again_on_another_thread() {
+    let pool = ThreadPool::with_config(Config::new().num_workers(1)).expect("pool builds");
+    let (mut handle, released, release) = gated_job(&pool);
+    assert!(!handle.wait_timeout(Duration::from_millis(10)), "the job is gated");
+    assert!(!handle.wait_timeout(Duration::ZERO), "still gated");
+    let waiter = std::thread::spawn(move || handle.wait());
+    std::thread::sleep(Duration::from_millis(20));
+    released.store(true, Ordering::SeqCst);
+    release.send(()).unwrap();
+    assert_eq!(waiter.join().expect("waiter panicked"), Some(true));
 }

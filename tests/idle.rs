@@ -1,14 +1,17 @@
 //! The idle path's contract (docs/scheduler.md, "Idle protocol"), against
 //! real pools: a quiescent pool does nothing at all, a wake-up is never
-//! lost although no worker has a timeout to fall back on, and a push that
-//! publishes nothing wakes nobody. A regression here hangs rather than
-//! flakes, so every wait is bounded by a watchdog that reports the pool's
-//! counters instead.
+//! lost although no worker has a timeout to fall back on, a push that
+//! publishes nothing wakes nobody, and a respawned worker parks and wakes
+//! on its slot's parker. A regression here hangs rather than flakes, so
+//! every wait is bounded by a watchdog that reports the pool's counters
+//! instead.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use cilk::runtime::{MetricsSnapshot, TenantId, ThreadPool};
+use cilk::runtime::fault::{FaultAction, FaultSite};
+use cilk::runtime::{MetricsSnapshot, SupervisionPolicy, TenantId, ThreadPool};
 use cilk::Config;
 
 fn pool(workers: usize) -> ThreadPool {
@@ -144,6 +147,47 @@ fn install_frames_are_reused_at_once() {
         });
         assert_eq!(pool.metrics().injections, CLIENTS * ROUNDS);
     }
+}
+
+/// A parker belongs to its worker slot, not to a thread: the replacement a
+/// supervisor respawns into a dead worker's slot parks on the dead worker's
+/// parker and is woken through it, with no adopt step.
+#[test]
+fn respawned_slots_park_and_wake() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: u64 = 5_000;
+    let fired = AtomicBool::new(false);
+    let config = Config::new()
+        .num_workers(2)
+        .supervision(SupervisionPolicy::new())
+        .fault_handler(Arc::new(move |site| {
+            if site == FaultSite::Spawn && !fired.swap(true, Ordering::Relaxed) {
+                FaultAction::Die
+            } else {
+                FaultAction::Continue
+            }
+        }));
+    let pool = ThreadPool::with_config(config).expect("pool builds");
+    pool.install(|| tree(4));
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while pool.metrics().workers_respawned == 0 {
+        assert!(Instant::now() < deadline, "no worker was respawned: {:?}", pool.metrics());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    await_parked(&pool, 2);
+    run_clients(&pool, CLIENTS, || {
+        for round in 0..ROUNDS {
+            assert_eq!(pool.install(move || round ^ 0x5A5A), round ^ 0x5A5A);
+        }
+        for round in 0..ROUNDS {
+            let handle =
+                pool.submit_async(TenantId(1), move || round).expect("no policy, no refusal");
+            assert_eq!(handle.wait(), Some(round));
+        }
+    });
+    let m = pool.metrics();
+    assert_eq!((m.workers_died, m.workers_respawned), (1, 1), "{m:?}");
+    assert_eq!(pool.queued_jobs(), 0);
 }
 
 #[test]

@@ -342,7 +342,7 @@ fn cancel_after_completion_is_a_no_op() {
             .admission(AdmissionPolicy::new().shards(1).shard_capacity(8).fair_share(4)),
     )
     .expect("pool builds");
-    let handle = pool.submit_async(tenant, || 7u64).expect("admitted");
+    let mut handle = pool.submit_async(tenant, || 7u64).expect("admitted");
     assert!(handle.wait_timeout(Duration::from_secs(10)), "job finishes");
     assert!(!handle.cancel(), "finished work cannot be cancelled");
     assert_eq!(handle.wait(), Some(7));
