@@ -52,6 +52,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps -p cilk-runtime
 echo "== tier-1: test suite =="
 cargo test -q --offline --workspace
 
+echo "== release-mode runtime: the optimizer-sensitive unsafe =="
+# `join`'s unwind guard, `StackJob`'s uninitialized result cell and the
+# deque's inlined owner path are `unsafe` whose mistakes an optimizer can
+# expose and a debug build can hide; the suite above runs them in debug.
+release_start=$SECONDS
+cargo test --release -q --offline -p cilk-runtime
+cargo test --release -q --offline --test fault_matrix pinned_seed_slice
+echo "release-mode runtime stage: $((SECONDS - release_start)) s"
+
 echo "== cilk-check: bounded-exhaustive model suites (docs/model-checking.md) =="
 # Under --cfg cilk_check the deque and the runtime's idle protocol swap
 # std::sync for the cilk-check shims, so the models explore the shipping

@@ -41,11 +41,13 @@ impl<T> Buffer<T> {
     }
 
     /// Capacity of the buffer (always a power of two).
+    #[inline]
     pub(crate) fn cap(&self) -> usize {
         self.cap
     }
 
     /// Returns the raw slot pointer for logical index `index`.
+    #[inline]
     fn at(&self, index: isize) -> *mut T {
         // `cap` is a power of two, so `index & (cap - 1)` wraps correctly
         // even for negative indices in two's complement.
@@ -62,6 +64,7 @@ impl<T> Buffer<T> {
     /// The caller must guarantee exclusive access to the slot for the
     /// duration of the write and that any previous value in the slot has
     /// already been moved out or is allowed to be overwritten.
+    #[inline]
     pub(crate) unsafe fn write(&self, index: isize, value: T) {
         ptr::write(self.at(index), value);
     }
@@ -73,6 +76,7 @@ impl<T> Buffer<T> {
     /// The slot must contain a valid `T` and the deque protocol must ensure
     /// at most one reader ever materializes ownership of this value (a
     /// failed competing reader must `mem::forget` its copy).
+    #[inline]
     pub(crate) unsafe fn read(&self, index: isize) -> T {
         ptr::read(self.at(index))
     }

@@ -435,6 +435,7 @@ impl<T> Worker<T> {
     /// publication under `FenceElided`), `false` when the element stayed in
     /// the private window and no thief can have learned of it. An owner
     /// that wakes sleeping thieves needs to do so only on `true`.
+    #[inline]
     pub fn push(&self, value: T) -> bool {
         debug_assert!(
             !self.inner.sealed.load(Ordering::Relaxed),
@@ -475,6 +476,7 @@ impl<T> Worker<T> {
     /// publish `bottom` only when a batch has accumulated or the public
     /// region is provably empty. No fence on any path; one release store
     /// per publication.
+    #[inline]
     fn push_elided(&self, value: T, retain: isize, batch: isize) -> bool {
         let pb = self.owner.priv_bottom.get();
         let mut ct = self.owner.cached_top.get();
@@ -533,6 +535,7 @@ impl<T> Worker<T> {
     ///
     /// Returns `None` when empty. The final element is raced against
     /// thieves with a compare-and-swap, per Chase–Lev.
+    #[inline]
     pub fn pop(&self) -> Option<T> {
         match self.owner.protocol {
             Protocol::Classic => self.pop_classic(),
@@ -584,7 +587,9 @@ impl<T> Worker<T> {
     /// bottom, so the slot is owner-exclusive by construction. Only when
     /// the private window is empty (`priv_bottom == published`, the
     /// boundary race window) does the classic decrement + `SeqCst` fence +
-    /// CAS protocol run against the public region.
+    /// CAS protocol run against the public region, out of line
+    /// ([`Worker::pop_boundary`]).
+    #[inline]
     fn pop_elided(&self) -> Option<T> {
         let pb = self.owner.priv_bottom.get();
         let published = self.owner.published.get();
@@ -602,10 +607,15 @@ impl<T> Worker<T> {
             self.owner.stats.pops_private.set(self.owner.stats.pops_private.get() + 1);
             return Some(value);
         }
+        self.pop_boundary()
+    }
 
-        // Boundary window: private region empty, race thieves for the
-        // newest *published* element with the classic protocol.
-        let b = pb.wrapping_sub(1);
+    /// The boundary window of [`Worker::pop_elided`]: the private region
+    /// is empty, so race thieves for the newest *published* element with
+    /// the classic protocol.
+    #[cold]
+    fn pop_boundary(&self) -> Option<T> {
+        let b = self.owner.priv_bottom.get().wrapping_sub(1);
         let buf_ptr = self.inner.buffer.load(Ordering::Relaxed);
         self.inner.bottom.store(b, Ordering::Relaxed);
         self.owner.published.set(b);

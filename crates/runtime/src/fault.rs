@@ -10,7 +10,8 @@
 //! occurrence, whether to continue, panic, stall, or kill the worker.
 //!
 //! Without a handler installed the cost of a fault point is one
-//! thread-local read plus one boolean load; pools never pay for what their
+//! thread-local read plus one boolean load — and on the `join` path, which
+//! already holds its worker, just the load; pools never pay for what their
 //! tests do not use. The `cilk-faults` crate builds the deterministic,
 //! seed-driven `FaultPlan` layer on top of this seam.
 //!
@@ -183,17 +184,21 @@ impl fmt::Display for InjectedFault {
 /// `Die` action is deferred: the worker retires at its next top-of-loop.
 #[inline]
 pub fn fault_point(site: FaultSite) {
-    let wt = WorkerThread::current();
-    if wt.is_null() {
-        return;
-    }
     // SAFETY: the pointer is set for the lifetime of the worker's main
     // loop and only ever read from its own thread.
-    let wt = unsafe { &*wt };
-    let Some(handler) = wt.registry().fault_handler() else {
-        return;
-    };
-    apply(wt, handler(site), site);
+    if let Some(wt) = unsafe { WorkerThread::current().as_ref() } {
+        fault_point_on(wt, site);
+    }
+}
+
+/// [`fault_point`] for the worker already in hand (`wt` must be the
+/// current thread's): no thread-local read, and with no handler installed
+/// one load and a not-taken branch.
+#[inline]
+pub(crate) fn fault_point_on(wt: &WorkerThread, site: FaultSite) {
+    if let Some(handler) = wt.registry().fault_handler() {
+        apply(wt, handler(site), site);
+    }
 }
 
 /// Applies a fault action on behalf of `wt` (shared by [`fault_point`] and
@@ -202,7 +207,9 @@ pub fn fault_point(site: FaultSite) {
 /// Every fired fault is reported as a [`crate::probe::ProbeEvent::Fault`]
 /// through the worker's probe seam, which both updates its
 /// `faults_injected`/`stalls_injected` counters (the metrics consumer)
-/// and reaches any registered global consumer.
+/// and reaches any registered global consumer. Out of line: only pools
+/// under test have a handler.
+#[cold]
 pub(crate) fn apply(wt: &WorkerThread, action: FaultAction, site: FaultSite) {
     if let Some(kind) = action.kind() {
         wt.probe(crate::probe::ProbeEvent::Fault { site, kind });

@@ -5,7 +5,7 @@
 //! describes being pushed onto the worker's stack at each spawn.
 
 use std::cell::UnsafeCell;
-use std::mem;
+use std::mem::{ManuallyDrop, MaybeUninit};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::latch::{CountLatch, Latch, Probe};
@@ -69,7 +69,7 @@ impl JobRef {
     }
 }
 
-/// The tristate result slot of a [`StackJob`].
+/// The result of a [`StackJob`] run on a thief, or the slot of a handle.
 pub(crate) enum JobResult<R> {
     /// Not yet executed.
     None,
@@ -94,13 +94,13 @@ impl<R> JobResult<R> {
     }
 }
 
-/// Sentinel meaning "no worker has executed this job yet".
-pub(crate) const NOT_EXECUTED: usize = usize::MAX;
-
-/// A job allocated on the stack of a `join` caller.
+/// A job allocated on the stack of a `join` caller, who waits on `latch`
+/// before returning so the job outlives any execution.
 ///
-/// The caller guarantees (by waiting on `latch` before returning) that the
-/// job memory outlives any execution.
+/// No drop glue: the job's one run (inline or [`Job::execute`]) takes the
+/// closure, and only `execute` writes the result, which
+/// [`StackJob::take_result`] moves out. A job that never runs leaks its
+/// closure.
 pub(crate) struct StackJob<L, F, R>
 where
     L: Latch,
@@ -109,12 +109,11 @@ where
 {
     /// Set when the job finishes (success or panic).
     pub(crate) latch: L,
-    func: UnsafeCell<Option<F>>,
-    result: UnsafeCell<JobResult<R>>,
-    /// Index of the worker that executed the job, or [`NOT_EXECUTED`].
-    /// Lets the `join` caller detect migration (i.e. the job was stolen).
-    executed_on: AtomicUsize,
-    /// Index of the worker that pushed the job.
+    func: UnsafeCell<ManuallyDrop<F>>,
+    /// Initialized by [`Job::execute`] before it sets the latch.
+    result: UnsafeCell<MaybeUninit<JobResult<R>>>,
+    /// Index of the worker that pushed the job; an execution elsewhere is
+    /// a migration (the job was stolen).
     owner_index: usize,
 }
 
@@ -131,9 +130,8 @@ where
     pub(crate) fn new(owner_index: usize, func: F, latch: L) -> Self {
         StackJob {
             latch,
-            func: UnsafeCell::new(Some(func)),
-            result: UnsafeCell::new(JobResult::None),
-            executed_on: AtomicUsize::new(NOT_EXECUTED),
+            func: UnsafeCell::new(ManuallyDrop::new(func)),
+            result: UnsafeCell::new(MaybeUninit::uninit()),
             owner_index,
         }
     }
@@ -153,12 +151,11 @@ where
     ///
     /// # Safety
     ///
-    /// Must only be called by the owner, and only when the job was popped
-    /// back before any thief executed it.
-    pub(crate) unsafe fn run_inline(self, current_worker: usize) -> R {
-        self.executed_on.store(current_worker, Ordering::Relaxed);
-        let func = (*self.func.get()).take().expect("job executed twice");
-        func(false)
+    /// Must only be called by the owner, at most once, and only when the
+    /// job was popped back before any thief executed it.
+    #[inline]
+    pub(crate) unsafe fn run_inline(&self) -> R {
+        ManuallyDrop::take(&mut *self.func.get())(false)
     }
 
     /// Takes the result after the latch has been set.
@@ -166,14 +163,8 @@ where
     /// # Safety
     ///
     /// Must only be called once, after `latch.probe()` is true.
-    pub(crate) unsafe fn into_result(self) -> R {
-        mem::replace(&mut *self.result.get(), JobResult::None).into_return_value()
-    }
-
-    /// The worker index that executed this job ([`NOT_EXECUTED`] if none).
-    #[cfg(test)]
-    pub(crate) fn executed_on(&self) -> usize {
-        self.executed_on.load(Ordering::Relaxed)
+    pub(crate) unsafe fn take_result(&self) -> R {
+        (*self.result.get()).assume_init_read().into_return_value()
     }
 }
 
@@ -185,10 +176,8 @@ where
 {
     unsafe fn execute(this: *const ()) {
         let this = &*this.cast::<Self>();
-        let current = crate::registry::current_worker_index().unwrap_or(NOT_EXECUTED - 1);
-        this.executed_on.store(current, Ordering::Relaxed);
-        let migrated = current != this.owner_index;
-        let func = (*this.func.get()).take().expect("job executed twice");
+        let migrated = crate::registry::current_worker_index() != Some(this.owner_index);
+        let func = ManuallyDrop::take(&mut *this.func.get());
         let result = match unwind::halt_unwinding(|| func(migrated)) {
             Ok(r) => JobResult::Ok(r),
             Err(p) => {
@@ -196,7 +185,7 @@ where
                 JobResult::Panic(p)
             }
         };
-        *this.result.get() = result;
+        (*this.result.get()).write(result);
         // The latch set must be the last access: it releases the waiter.
         Latch::set(&this.latch);
     }
@@ -240,8 +229,7 @@ where
 {
     unsafe fn execute(this: *const ()) {
         let this = Box::from_raw(this.cast::<Self>().cast_mut());
-        let current = crate::registry::current_worker_index().unwrap_or(NOT_EXECUTED - 1);
-        let migrated = current != this.owner_index;
+        let migrated = crate::registry::current_worker_index() != Some(this.owner_index);
         (this.func)(migrated);
     }
 }
@@ -319,21 +307,20 @@ mod tests {
         let job = StackJob::new(0, |migrated| if migrated { 1 } else { 2 }, CoreLatch::new());
         // SAFETY: `job` lives on this frame past the reference's execution.
         let job_ref = unsafe { job.as_job_ref() };
-        assert_eq!(job.executed_on(), NOT_EXECUTED);
+        assert!(!job.latch.probe());
         // SAFETY: the only execution of this reference.
         unsafe { job_ref.execute() };
         assert!(job.latch.probe());
-        assert_ne!(job.executed_on(), NOT_EXECUTED);
         // Executed outside any worker: counts as migrated.
         // SAFETY: taken once, after the latch was set (asserted above).
-        assert_eq!(unsafe { job.into_result() }, 1);
+        assert_eq!(unsafe { job.take_result() }, 1);
     }
 
     #[test]
     fn stack_job_inline_run_is_not_migrated() {
         let job = StackJob::new(7, |migrated| migrated, CoreLatch::new());
         // SAFETY: the owner runs it; no reference was ever handed out.
-        assert!(!unsafe { job.run_inline(7) });
+        assert!(!unsafe { job.run_inline() });
     }
 
     #[test]
@@ -347,7 +334,7 @@ mod tests {
         assert!(job.latch.probe());
         // SAFETY: taken once, after the latch was set (asserted above).
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unsafe {
-            job.into_result()
+            job.take_result()
         }));
         assert!(caught.is_err());
     }

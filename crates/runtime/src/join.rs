@@ -15,6 +15,8 @@
 //! paper credits for the runtime's "negligible overhead (less than 2%)" on
 //! one processor.
 
+use std::mem;
+
 use crate::fault::{self, FaultSite};
 use crate::job::{JobRef, StackJob};
 use crate::latch::{CoreLatch, Probe};
@@ -209,9 +211,9 @@ fn run_captured_branch<R>(
 }
 
 /// The worker-side implementation of `join_context`: push the continuation
-/// `b`, run the child `a`, pop `b` back or wait for its thief, then the
-/// implicit sync. Both sides come to rest before the sync, and `a`'s panic
-/// wins.
+/// `b`, run the child `a`, pop `b` back and run it (or wait for its thief),
+/// then the implicit sync. No capture frame: if either side unwinds, the
+/// [`JoinGuard`] brings `b` to rest and restores the depth.
 ///
 /// # Safety
 ///
@@ -223,112 +225,120 @@ where
     RA: Send,
     RB: Send,
 {
-    // Strand boundary: tell the supervisor this worker is making progress.
-    wt.beat(crate::supervisor::BeatSite::JoinEntry);
     let depth = wt.bump_depth();
     wt.probe(ProbeEvent::Spawn { worker: wt.index(), depth });
 
-    let job_b = StackJob::new(
-        wt.index(),
-        |migrated| b(JoinContext { migrated }),
-        CoreLatch::new(),
-    );
+    let job_b =
+        StackJob::new(wt.index(), |migrated| b(JoinContext { migrated }), CoreLatch::new());
     let job_b_ref = job_b.as_job_ref();
     wt.push(job_b_ref);
+    let mut guard = JoinGuard { wt, job: &job_b, job_ref: job_b_ref, pending: true };
 
-    // Execute `a` on this worker (work-first). The `spawn` fault point sits
-    // inside the capture frame, so an injected panic is indistinguishable
-    // from the spawned child itself panicking on entry.
-    let status_a = unwind::halt_unwinding(|| {
-        fault::fault_point(FaultSite::Spawn);
-        a(JoinContext { migrated: false })
-    });
-    if status_a.is_err() {
-        crate::registry::note_panic_captured();
-    }
-
-    // Bring `b` to rest whatever `a` did (its frame may be live on a
-    // thief). `job_b` must not move before it is resolved — the pushed
-    // `JobRef` points at this stack slot — so only the consuming step runs
-    // under capture, which is what lets every outcome of either side leave
-    // through the one `drop_depth` below.
-    let resolved = resolve_spawned(wt, &job_b, job_b_ref);
-    let status_b = unwind::halt_unwinding(move || match resolved {
-        Resolved::PoppedBack => job_b.run_inline(wt.index()),
-        Resolved::LatchSet => job_b.into_result(),
-    });
-    if status_b.is_err() {
-        crate::registry::note_panic_captured();
-    }
-
+    // Work-first: `a` runs now. The `spawn` fault point is part of `a`, so
+    // an injected panic is the spawned child panicking on entry.
+    fault::fault_point_on(wt, FaultSite::Spawn);
+    let result_a = a(JoinContext { migrated: false });
+    let result_b = guard.join_b();
+    mem::forget(guard);
     wt.drop_depth();
-
-    let (result_a, result_b) = match (status_a, status_b) {
-        (Ok(result_a), Ok(result_b)) => (result_a, result_b),
-        (Err(panic_a), _) => unwind::resume_unwinding(panic_a),
-        (Ok(_), Err(panic_b)) => unwind::resume_unwinding(panic_b),
-    };
 
     // The implicit `cilk_sync`: an injected fault here surfaces after both
     // branches have come to rest, exactly like a panic at the sync point.
-    let status_sync = unwind::halt_unwinding(|| fault::fault_point(FaultSite::Sync));
-
-    match status_sync {
-        Ok(()) => (result_a, result_b),
-        Err(panic_sync) => {
-            drop((result_a, result_b));
-            unwind::resume_unwinding(panic_sync)
-        }
-    }
+    fault::fault_point_on(wt, FaultSite::Sync);
+    (result_a, result_b)
 }
 
-/// How the spawned side of a `join` came to rest (see [`resolve_spawned`]).
-enum Resolved {
-    /// The owner popped the job back before any thief claimed it: run it
-    /// inline, bypassing the latch.
-    PoppedBack,
-    /// A thief executed the job and set its latch: take the stored result.
-    LatchSet,
-}
-
-/// Brings the spawned (pushed) side of a `join` to rest: pops it back if
-/// no thief claimed it — the common case the paper credits for near-zero
-/// spawn overhead — or helps with other work until the thief finishes.
-///
-/// The job is borrowed, never moved: the pushed [`JobRef`] (and any thief
-/// holding it) points at the job's stack slot, so it must stay put until
-/// the caller consumes it according to the returned [`Resolved`].
-///
-/// # Safety
-///
-/// Must run on the worker that pushed `job`; `job_ref` must refer to it.
-unsafe fn resolve_spawned<F, R>(
-    wt: &WorkerThread,
-    job: &StackJob<CoreLatch, F, R>,
-    job_ref: JobRef,
-) -> Resolved
+/// Holds an unwinding `join` frame until its spawned side is at rest: the
+/// pushed [`JobRef`] (and any thief holding it) points at `job`'s stack
+/// slot. Forgotten on the normal path.
+struct JoinGuard<'a, F, R>
 where
     F: FnOnce(bool) -> R + Send,
     R: Send,
 {
+    wt: &'a WorkerThread,
+    job: &'a StackJob<CoreLatch, F, R>,
+    job_ref: JobRef,
+    /// `job` is still on the deque or with a thief.
+    pending: bool,
+}
+
+impl<F, R> JoinGuard<'_, F, R>
+where
+    F: FnOnce(bool) -> R + Send,
+    R: Send,
+{
+    /// Brings the spawned side to rest and takes its result: pops it back
+    /// and runs it inline if nobody stole it — the common case the paper
+    /// credits for near-zero spawn overhead — or defers to
+    /// [`resolve_spawned`].
+    ///
+    /// # Safety
+    ///
+    /// At most once per guard, on the worker that pushed the job.
+    #[inline(always)]
+    unsafe fn join_b(&mut self) -> R {
+        let popped = self.wt.take_local_job();
+        let popped_back = popped == Some(self.job_ref)
+            || resolve_spawned(self.wt, &self.job.latch, self.job_ref, popped);
+        self.pending = false;
+        if popped_back {
+            self.wt.probe(ProbeEvent::InlinePop { worker: self.wt.index() });
+            self.job.run_inline()
+        } else {
+            self.job.take_result()
+        }
+    }
+}
+
+impl<F, R> Drop for JoinGuard<'_, F, R>
+where
+    F: FnOnce(bool) -> R + Send,
+    R: Send,
+{
+    /// `a` or `b` is unwinding. A pending `b` comes to rest under one
+    /// capture that discards its panic, so `a`'s wins; each panic counts
+    /// as captured, as a capture frame around each side would.
+    #[cold]
+    fn drop(&mut self) {
+        let wt = self.wt;
+        wt.probe(ProbeEvent::PanicCaptured { worker: wt.index() });
+        // SAFETY: the guard lives from the push to `join_b` on the pushing
+        // worker, and `pending` says `join_b` has not taken `job` yet.
+        if self.pending && unwind::halt_unwinding(|| unsafe { self.join_b() }).is_err() {
+            wt.probe(ProbeEvent::PanicCaptured { worker: wt.index() });
+        }
+        wt.drop_depth();
+    }
+}
+
+/// The spawned side of a `join` did not pop straight back: `popped` is
+/// another local job, deeper in the serial order (e.g. handoff surplus
+/// claimed while `a` waited), which runs now; or nothing, because a thief
+/// took `job_ref`. Returns whether the job popped back after all (to run
+/// inline) rather than ran on a thief, whose latch is then set.
+///
+/// # Safety
+///
+/// Must run on the worker that pushed the job; `latch` must be its latch.
+#[cold]
+unsafe fn resolve_spawned(
+    wt: &WorkerThread,
+    latch: &CoreLatch,
+    job_ref: JobRef,
+    mut popped: Option<JobRef>,
+) -> bool {
     loop {
-        if job.latch.probe() {
-            return Resolved::LatchSet;
+        match popped {
+            Some(job) if job == job_ref => return true,
+            Some(other) => wt.execute(other),
+            // Stolen: steal back other work while we wait.
+            None => wt.wait_until(latch),
         }
-        if let Some(local) = wt.take_local_job() {
-            if local == job_ref {
-                // Nobody stole it: the caller runs it inline.
-                wt.probe(ProbeEvent::InlinePop { worker: wt.index() });
-                return Resolved::PoppedBack;
-            }
-            // Some other local job (e.g. a scope spawn pushed by the side
-            // that already ran): it is deeper in the serial order, so
-            // execute it now.
-            wt.execute(local);
-            continue;
+        if latch.probe() {
+            return false;
         }
-        // The job was stolen; steal back other work while we wait.
-        wt.wait_until(&job.latch);
+        popped = wt.take_local_job();
     }
 }
 
@@ -438,6 +448,105 @@ mod tests {
             let depths = nested_join(&pool, steal, false, false).expect("no panic planted");
             assert_eq!(depths, (1, if steal { 0 } else { 1 }), "{workers} workers");
             assert_eq!(pool.metrics().depth_high_watermark, 5, "{workers} workers");
+        }
+    }
+
+    /// An `a` that panics while its `b` runs on a thief must wait for the
+    /// thief before the `join` frame (which holds `b`'s job) is popped:
+    /// `b`'s flag is set when the panic arrives, `a`'s payload wins even
+    /// when `b` panics too, and the nesting depth is restored.
+    #[test]
+    fn a_panic_waits_for_its_stolen_b() {
+        use crate::{Config, ThreadPool};
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::Duration;
+
+        fn nest(levels: usize, leaf: &(dyn Fn() + Sync)) {
+            if levels == 0 {
+                leaf();
+            } else {
+                join(|| nest(levels - 1, leaf), || ());
+            }
+        }
+        let pool = ThreadPool::with_config(Config::new().num_workers(2)).expect("pool");
+        for b_panics in [false, true] {
+            for _ in 0..200 {
+                let b_started = AtomicBool::new(false);
+                let b_done = AtomicBool::new(false);
+                let (depth_before, caught, depth_after) = pool.install(|| {
+                    let before = crate::current_depth();
+                    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        join_context(
+                            |_| {
+                                // Four nested pushes publish `b` out of the
+                                // owner's private window.
+                                nest(4, &|| {
+                                    while !b_started.load(Ordering::Acquire) {
+                                        std::thread::yield_now();
+                                    }
+                                });
+                                panic!("a dies")
+                            },
+                            |ctx| {
+                                assert!(ctx.migrated(), "b runs on the thief");
+                                b_started.store(true, Ordering::Release);
+                                std::thread::sleep(Duration::from_millis(1));
+                                b_done.store(true, Ordering::Release);
+                                assert!(!b_panics, "b dies");
+                            },
+                        )
+                    }));
+                    (before, caught, crate::current_depth())
+                });
+                let payload = caught.expect_err("a panicked");
+                assert!(b_done.load(Ordering::Acquire), "the join returned before its thief");
+                assert_eq!(payload.downcast_ref::<&str>().copied(), Some("a dies"));
+                assert_eq!(depth_after, depth_before);
+            }
+        }
+    }
+
+    /// What a `join` adds to `faults_injected` and `panics_captured`: a
+    /// planted `spawn` panic and a panicking `b` are captured once each; a
+    /// planted `sync` panic surfaces after both sides rested, uncaptured.
+    #[test]
+    fn join_panic_and_fault_accounting() {
+        use crate::fault::{FaultAction, FaultSite};
+        use crate::{Config, ThreadPool};
+        use std::sync::{Arc, Mutex};
+
+        for workers in [1usize, 2] {
+            let armed: Arc<Mutex<Option<FaultSite>>> = Arc::new(Mutex::new(None));
+            let handler_armed = Arc::clone(&armed);
+            let pool = ThreadPool::with_config(Config::new().num_workers(workers).fault_handler(
+                Arc::new(move |site| {
+                    let mut armed = handler_armed.lock().expect("not poisoned");
+                    if *armed == Some(site) {
+                        *armed = None;
+                        FaultAction::Panic
+                    } else {
+                        FaultAction::Continue
+                    }
+                }),
+            ))
+            .expect("pool");
+            let delta = |plant: Option<FaultSite>, b_panics: bool| {
+                let before = pool.metrics();
+                *armed.lock().expect("not poisoned") = plant;
+                let caught = pool.install(|| {
+                    std::panic::catch_unwind(|| join(|| (), || assert!(!b_panics, "b dies")))
+                });
+                assert!(caught.is_err(), "{workers} workers, {plant:?}: the join panicked");
+                assert_eq!(*armed.lock().expect("not poisoned"), None, "the plant fired");
+                let after = pool.metrics();
+                (
+                    after.faults_injected - before.faults_injected,
+                    after.panics_captured - before.panics_captured,
+                )
+            };
+            assert_eq!(delta(Some(FaultSite::Spawn), false), (1, 1), "{workers} workers: spawn");
+            assert_eq!(delta(None, true), (0, 1), "{workers} workers: b");
+            assert_eq!(delta(Some(FaultSite::Sync), false), (1, 0), "{workers} workers: sync");
         }
     }
 

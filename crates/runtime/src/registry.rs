@@ -494,11 +494,11 @@ impl Registry {
                 return Err(self.stall_error(waited).into());
             }
         }
-        // Count completion before `into_result`: a captured panic resumes
+        // Count completion before `take_result`: a captured panic resumes
         // there, and the billed work did run to its end.
         bill(Injector::note_completed);
         // SAFETY: the latch is set, so the job has run and stored its result.
-        Ok(unsafe { job.into_result() })
+        Ok(unsafe { job.take_result() })
     }
 
     /// Serial in-place execution of an installed op: the last resort of a
@@ -868,17 +868,24 @@ impl WorkerThread {
     /// thief could steal it. Work that exists to be *taken* (scope tasks,
     /// handoff surplus) should go through [`WorkerThread::push_published`].
     ///
-    /// `#[inline]` here, on [`WorkerThread::take_local_job`] and on
-    /// [`WorkerThread::current`]: `join` is generic, so it is compiled into
-    /// the caller's crate, where these would otherwise be out-of-line calls
-    /// on every spawn.
-    #[inline]
+    /// Always inlined, like [`WorkerThread::take_local_job`] and
+    /// [`WorkerThread::current`] (`#[inline]`): `join` is generic, so it is
+    /// compiled into the caller's crate, where these would otherwise be
+    /// out-of-line calls on every spawn. The wake-up of a publishing push
+    /// stays out of line.
+    #[inline(always)]
     pub(crate) fn push(&self, job: JobRef) {
         let published = self.deque.push(job);
         self.probe(ProbeEvent::DequeLen { worker: self.index, len: self.deque.len() });
         if published {
-            self.registry.notify_work(self.index);
+            self.notify_published();
         }
+    }
+
+    /// The wake-up after a [`WorkerThread::push`] that published.
+    #[cold]
+    fn notify_published(&self) {
+        self.registry.notify_work(self.index);
     }
 
     /// Pushes a stealable job and immediately publishes the owner's

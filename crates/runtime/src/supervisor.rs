@@ -8,10 +8,10 @@
 //! layer:
 //!
 //! * **Watchdog.** Every worker bumps a per-slot heartbeat epoch at its
-//!   scheduling-loop boundaries (top of loop, steal rounds, `join` entry,
-//!   scope spawns). A low-frequency monitor thread — one per supervised
-//!   pool — scans the epochs each [`CHECK_INTERVAL`] (1 ms) and
-//!   counts *suspect* workers (alive but not beating). Death itself is
+//!   scheduling-loop boundaries (top of loop, steal rounds, wait-loop
+//!   executions, scope spawns, parking). A low-frequency monitor thread —
+//!   one per supervised pool — scans the epochs each [`CHECK_INTERVAL`]
+//!   (1 ms) and counts *suspect* workers (alive but not beating). Death itself is
 //!   reported synchronously: a dying worker hands its deque to the monitor
 //!   as an orphan. When supervision is off none of this exists — the beat
 //!   is a single `Option` discriminant test and no monitor is spawned,
@@ -112,9 +112,10 @@ impl Default for SupervisionPolicy {
 ///
 /// Each heartbeat carries the scheduling-loop boundary it came from, so a
 /// stall diagnosis ([`RuntimeStalled`](crate::RuntimeStalled)) can say not
-/// just *which* worker went silent but *where it was last seen* — a worker
-/// whose last beat was `JoinEntry` is wedged inside user code, one stuck
-/// at `StealRound` is spinning for work that never comes.
+/// just *which* worker went silent but *where it was last seen*. `join`
+/// does not beat (a joining worker is making progress by definition), so
+/// a worker wedged in user code reads the boundary it crossed before
+/// taking the job: `MainLoop`, `StealRound` or `WaitExecute`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BeatSite {
     /// Top of the worker's main scheduling loop.
@@ -123,8 +124,6 @@ pub enum BeatSite {
     StealRound,
     /// Executed a stolen or injected job inside a wait loop.
     WaitExecute,
-    /// Entry to a `join` (the fork of a new strand pair).
-    JoinEntry,
     /// A `Scope::spawn` pushed a task.
     ScopeSpawn,
     /// About to block on the slot's parker: idle, and silent until a
@@ -136,11 +135,10 @@ impl BeatSite {
     /// Every site with its display name, in wire order: a site's encoding
     /// in the per-slot `AtomicU8` is its position here plus one (0 is
     /// "never beat").
-    const ALL: [(BeatSite, &'static str); 6] = [
+    const ALL: [(BeatSite, &'static str); 5] = [
         (BeatSite::MainLoop, "main-loop"),
         (BeatSite::StealRound, "steal-round"),
         (BeatSite::WaitExecute, "wait-execute"),
-        (BeatSite::JoinEntry, "join-entry"),
         (BeatSite::ScopeSpawn, "scope-spawn"),
         (BeatSite::Parked, "parked"),
     ];
@@ -190,15 +188,23 @@ pub(crate) struct Orphan {
     pub(crate) deque: DequeWorker<JobRef>,
 }
 
+/// One slot's heartbeat, on cache lines of its own: its worker writes it
+/// every loop pass and steal round, so slots packed together would bounce
+/// one line between every worker of the pool. Relaxed; diagnostic only.
+#[repr(align(128))]
+struct Heartbeat {
+    /// Monotonic liveness epoch.
+    epoch: AtomicU64,
+    /// Encoded [`BeatSite`] of the most recent beat (0 = never beat).
+    site: AtomicU8,
+}
+
 /// Per-pool supervision state, embedded in the registry when
 /// [`Config::supervision`](crate::Config::supervision) is set.
 pub(crate) struct Supervision {
     pub(crate) policy: SupervisionPolicy,
-    /// Monotonic per-slot liveness epochs (relaxed; diagnostic only).
-    heartbeats: Vec<AtomicU64>,
-    /// Per-slot encoded [`BeatSite`] of the most recent heartbeat
-    /// (0 = never beat; relaxed, diagnostic only).
-    last_sites: Vec<AtomicU8>,
+    /// One heartbeat per slot.
+    heartbeats: Vec<Heartbeat>,
     /// Which slots currently have a live worker.
     alive: Vec<AtomicBool>,
     /// Count of `true` bits in `alive`.
@@ -226,8 +232,9 @@ impl Supervision {
     pub(crate) fn new(workers: usize, policy: SupervisionPolicy) -> Self {
         Supervision {
             policy,
-            heartbeats: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-            last_sites: (0..workers).map(|_| AtomicU8::new(0)).collect(),
+            heartbeats: (0..workers)
+                .map(|_| Heartbeat { epoch: AtomicU64::new(0), site: AtomicU8::new(0) })
+                .collect(),
             alive: (0..workers).map(|_| AtomicBool::new(true)).collect(),
             live: AtomicUsize::new(workers),
             respawns_used: AtomicU64::new(0),
@@ -245,17 +252,17 @@ impl Supervision {
     #[inline]
     pub(crate) fn beat(&self, slot: usize, site: BeatSite) {
         if let Some(h) = self.heartbeats.get(slot) {
-            h.fetch_add(1, Ordering::Relaxed);
-            self.last_sites[slot].store(site.encode(), Ordering::Relaxed);
+            h.epoch.fetch_add(1, Ordering::Relaxed);
+            h.site.store(site.encode(), Ordering::Relaxed);
         }
     }
 
     /// The probe site of `slot`'s most recent heartbeat, `None` if the
     /// worker never beat (or the slot is out of range).
     pub(crate) fn last_beat_site(&self, slot: usize) -> Option<BeatSite> {
-        self.last_sites
+        self.heartbeats
             .get(slot)
-            .and_then(|s| BeatSite::decode(s.load(Ordering::Relaxed)))
+            .and_then(|h| BeatSite::decode(h.site.load(Ordering::Relaxed)))
     }
 
     /// The suspect slots (alive but silent) retained from the watchdog's
@@ -315,24 +322,12 @@ impl Supervision {
     /// number, or `None` when the budget is spent.
     fn try_reserve_respawn(&self) -> Option<u64> {
         let budget = u64::from(self.policy.max_respawns);
-        let mut used = self.respawns_used.load(Ordering::SeqCst);
-        loop {
-            if used >= budget {
-                return None;
-            }
-            match self.respawns_used.compare_exchange(
-                used,
-                used + 1,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => {
-                    self.pending_respawns.fetch_add(1, Ordering::SeqCst);
-                    return Some(used);
-                }
-                Err(actual) => used = actual,
-            }
-        }
+        let used = self
+            .respawns_used
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |used| (used < budget).then_some(used + 1))
+            .ok()?;
+        self.pending_respawns.fetch_add(1, Ordering::SeqCst);
+        Some(used)
     }
 
     pub(crate) fn take_respawned_handles(&self) -> Vec<JoinHandle<()>> {
@@ -351,7 +346,7 @@ impl Supervision {
             heartbeats: self
                 .heartbeats
                 .iter()
-                .map(|h| h.load(Ordering::Relaxed))
+                .map(|h| h.epoch.load(Ordering::Relaxed))
                 .collect(),
         }
     }
@@ -366,7 +361,7 @@ impl Supervision {
     fn scan_heartbeats(&self, last: &mut [u64]) {
         let mut suspects = Vec::new();
         for (slot, h) in self.heartbeats.iter().enumerate() {
-            let now = h.load(Ordering::Relaxed);
+            let now = h.epoch.load(Ordering::Relaxed);
             let site = self.last_beat_site(slot);
             if now == last[slot] && self.is_alive(slot) && site != Some(BeatSite::Parked) {
                 suspects.push((slot, site));
