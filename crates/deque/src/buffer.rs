@@ -48,7 +48,7 @@ impl<T> Buffer<T> {
 
     /// Returns the raw slot pointer for logical index `index`.
     #[inline]
-    fn at(&self, index: isize) -> *mut T {
+    pub(crate) fn at(&self, index: isize) -> *mut T {
         // `cap` is a power of two, so `index & (cap - 1)` wraps correctly
         // even for negative indices in two's complement.
         let mask = self.cap as isize - 1;

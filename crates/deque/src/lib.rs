@@ -140,7 +140,9 @@ pub struct OwnerStats {
     pub publications: u64,
 }
 
-/// Shared state of one deque.
+/// Shared state of one deque, alone on its 128-byte units (what adjacent-
+/// line prefetching moves): no other deque's words or buffer share them.
+#[repr(align(128))]
 struct Inner<T> {
     /// Index of the next element to steal (thief end).
     top: AtomicIsize,
@@ -158,6 +160,8 @@ struct Inner<T> {
     /// the deque stay up for grabs while the owner drains the remainder.
     sealed: AtomicBool,
 }
+
+const _: () = assert!(mem::align_of::<Inner<()>>() == 128);
 
 // SAFETY: `Inner` encapsulates raw pointers that are only dereferenced under
 // the Chase–Lev protocol; `T: Send` is required because elements move
@@ -902,6 +906,34 @@ mod tests {
             Protocol::FenceElided { retain: 2, publish_batch: 3 },
             Protocol::fence_elided(),
         ]
+    }
+
+    /// Deques made back to back, the way a pool makes one per worker: each
+    /// one's shared words fill whole 128-byte units, so no other deque's
+    /// words and no buffer — its slots or its header — share their lines.
+    #[test]
+    fn shared_words_never_share_a_cache_line() {
+        const UNIT: usize = 128;
+        let workers: Vec<Worker<u64>> =
+            (0..4).map(|_| Deque::new().into_worker_with(Protocol::fence_elided())).collect();
+        let span = |start: usize, len: usize| (start, start + len);
+        let inners: Vec<(usize, usize)> = workers
+            .iter()
+            .map(|w| span(Arc::as_ptr(&w.inner) as usize, mem::size_of::<Inner<u64>>()))
+            .collect();
+        let buffers = workers.iter().flat_map(|w| {
+            let header = w.inner.buffer.load(Ordering::Relaxed);
+            // SAFETY: the current buffer stays allocated while its deque lives.
+            let buf = unsafe { &*header };
+            let slots = span(buf.at(0) as usize, buf.cap() * mem::size_of::<u64>());
+            [span(header as usize, mem::size_of::<Buffer<u64>>()), slots]
+        });
+        for (i, a) in inners.iter().enumerate() {
+            assert_eq!((a.0 % UNIT, a.1 % UNIT), (0, 0), "deque {i} at {a:x?}");
+            for b in inners[i + 1..].iter().copied().chain(buffers.clone()) {
+                assert!(a.1 <= b.0 || b.1 <= a.0, "{a:x?} overlaps {b:x?}");
+            }
+        }
     }
 
     #[test]

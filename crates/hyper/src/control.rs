@@ -2,7 +2,9 @@
 //!
 //! These wrap the raw `cilk-runtime` constructs with the view-frame
 //! protocol of §5: a stolen continuation starts with fresh identity views;
-//! when strands join, views are reduced in serial order.
+//! when strands join, views are reduced in serial order. A stolen
+//! continuation's frame comes back through a side slot that only it locks,
+//! so an un-stolen `join` costs what `cilk_runtime::join` costs.
 
 use std::sync::Mutex;
 
@@ -41,17 +43,22 @@ where
     RB: Send,
 {
     // The child `a` runs on the caller's strand over the base views; only
-    // a *stolen* continuation needs a fresh frame.
-    let (ra, (rb, stolen_views)) = cilk_runtime::join_context(
+    // a *stolen* continuation needs a fresh frame, handed back through
+    // `stolen_views` for the ordered merge at the join point. A panicking
+    // side's frame is dropped on the unwind, never merged.
+    let stolen_views: Mutex<Option<Frame>> = Mutex::new(None);
+    let (ra, rb) = cilk_runtime::join_context(
         |_| a(),
         |ctx| {
-            // Stolen: execute with fresh views, hand them back for the
-            // ordered merge at the join point.
             let guard = ctx.migrated().then(FrameGuard::push);
-            (b(), guard.map(FrameGuard::take))
+            let rb = b();
+            if let Some(guard) = guard {
+                *frames::recover(stolen_views.lock()) = Some(guard.take());
+            }
+            rb
         },
     );
-    if let Some(frame) = stolen_views {
+    if let Some(frame) = frames::recover(stolen_views.into_inner()) {
         frames::merge_frame_into_current(frame);
     }
     (ra, rb)

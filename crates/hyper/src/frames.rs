@@ -6,7 +6,8 @@
 //! continuation starts executing, a fresh (empty) frame is pushed, so
 //! every hyperobject lazily materializes a fresh identity view in it; when
 //! the corresponding join completes, the frame's views are reduced — in
-//! serial order — into the caller's views.
+//! serial order — into the caller's views. It travels back through a side
+//! slot on the joiner's stack ([`crate::join`]), dropped if a side panicked.
 //!
 //! A frame is a vector of `(reducer id, view)` pairs searched linearly — it
 //! holds the views one stolen strand touched, usually none, one or two —

@@ -193,10 +193,10 @@ pub fn fault_point(site: FaultSite) {
 
 /// [`fault_point`] for the worker already in hand (`wt` must be the
 /// current thread's): no thread-local read, and with no handler installed
-/// one load and a not-taken branch.
+/// one test of the worker's own copy of it and a not-taken branch.
 #[inline]
 pub(crate) fn fault_point_on(wt: &WorkerThread, site: FaultSite) {
-    if let Some(handler) = wt.registry().fault_handler() {
+    if let Some(handler) = &wt.fault_handler {
         apply(wt, handler(site), site);
     }
 }

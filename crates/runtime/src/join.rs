@@ -20,7 +20,7 @@ use std::mem;
 use crate::fault::{self, FaultSite};
 use crate::job::{JobRef, StackJob};
 use crate::latch::{CoreLatch, Probe};
-use crate::probe::{self, ProbeEvent};
+use crate::probe::{self, EventMask, ProbeEvent};
 use crate::registry::WorkerThread;
 use crate::unwind;
 
@@ -77,20 +77,19 @@ where
     RB: Send,
 {
     // The one instrumentation gate: a single relaxed load of the probe
-    // mask says whether any serial-capture consumer, SP-order labeling or
-    // strand profile exists anywhere in the process. When none does — every
-    // production run — the caller's closures go to the worker as they are
-    // and no session thread-local is touched.
-    if probe::sessions_possible() {
+    // mask says whether a serial-capture consumer, SP-order labeling, strand
+    // profile or `SCHED` consumer exists anywhere in the process. When none
+    // does — every production run — the closures go to the worker as they
+    // are, no session thread-local is touched, and events are only counted.
+    if probe::gate_open(EventMask::SCHED) {
         return join_instrumented(a, b);
     }
     // SAFETY: `in_worker` hands its closure the current worker.
-    crate::in_worker(move |wt| unsafe { join_on_worker(wt, a, b) })
+    crate::in_worker(move |wt| unsafe { join_on_worker::<false, _, _, _, _>(wt, a, b) })
 }
 
-/// [`join_context`] while some session may be watching: consults each of
-/// the three session kinds on this thread and wraps the branches for the
-/// ones that are active here.
+/// [`join_context`] while something may be watching: wraps the branches
+/// for each session kind active on this thread, and emits the join's events.
 #[cold]
 fn join_instrumented<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
@@ -128,12 +127,14 @@ where
     // it, then combines the two measures on the parent strand — exact at
     // any worker count.
     match probe::strand_children() {
-        // SAFETY: `in_worker` hands its closure the current worker.
-        None => crate::in_worker(move |wt| unsafe { join_on_worker(wt, a, b) }),
+        None => {
+            // SAFETY: `in_worker` hands its closure the current worker.
+            crate::in_worker(move |wt| unsafe { join_on_worker::<true, _, _, _, _>(wt, a, b) })
+        }
         Some((actx, bctx)) => {
             // SAFETY: as above, `wt` is the current worker.
             let ((ra, ma), (rb, mb)) = crate::in_worker(move |wt| unsafe {
-                join_on_worker(
+                join_on_worker::<true, _, _, _, _>(
                     wt,
                     move |ctx| {
                         let frame = probe::StrandScope::enter(actx);
@@ -213,12 +214,13 @@ fn run_captured_branch<R>(
 /// The worker-side implementation of `join_context`: push the continuation
 /// `b`, run the child `a`, pop `b` back and run it (or wait for its thief),
 /// then the implicit sync. No capture frame: if either side unwinds, the
-/// [`JoinGuard`] brings `b` to rest and restores the depth.
+/// [`JoinGuard`] brings `b` to rest and restores the depth. Its events are
+/// counted, and handed to the probe consumers only if `EMIT`.
 ///
 /// # Safety
 ///
 /// Must be called on a worker thread; `wt` must be the current worker.
-unsafe fn join_on_worker<A, B, RA, RB>(wt: &WorkerThread, a: A, b: B) -> (RA, RB)
+unsafe fn join_on_worker<const EMIT: bool, A, B, RA, RB>(wt: &WorkerThread, a: A, b: B) -> (RA, RB)
 where
     A: FnOnce(JoinContext) -> RA + Send,
     B: FnOnce(JoinContext) -> RB + Send,
@@ -226,13 +228,14 @@ where
     RB: Send,
 {
     let depth = wt.bump_depth();
-    wt.probe(ProbeEvent::Spawn { worker: wt.index(), depth });
+    wt.record::<EMIT>(ProbeEvent::Spawn { worker: wt.index(), depth });
 
     let job_b =
         StackJob::new(wt.index(), |migrated| b(JoinContext { migrated }), CoreLatch::new());
     let job_b_ref = job_b.as_job_ref();
-    wt.push(job_b_ref);
-    let mut guard = JoinGuard { wt, job: &job_b, job_ref: job_b_ref, pending: true };
+    wt.push::<EMIT>(job_b_ref);
+    let mut guard =
+        JoinGuard::<_, _, EMIT> { wt, job: &job_b, job_ref: job_b_ref, pending: true };
 
     // Work-first: `a` runs now. The `spawn` fault point is part of `a`, so
     // an injected panic is the spawned child panicking on entry.
@@ -251,7 +254,7 @@ where
 /// Holds an unwinding `join` frame until its spawned side is at rest: the
 /// pushed [`JobRef`] (and any thief holding it) points at `job`'s stack
 /// slot. Forgotten on the normal path.
-struct JoinGuard<'a, F, R>
+struct JoinGuard<'a, F, R, const EMIT: bool>
 where
     F: FnOnce(bool) -> R + Send,
     R: Send,
@@ -263,7 +266,7 @@ where
     pending: bool,
 }
 
-impl<F, R> JoinGuard<'_, F, R>
+impl<F, R, const EMIT: bool> JoinGuard<'_, F, R, EMIT>
 where
     F: FnOnce(bool) -> R + Send,
     R: Send,
@@ -283,7 +286,7 @@ where
             || resolve_spawned(self.wt, &self.job.latch, self.job_ref, popped);
         self.pending = false;
         if popped_back {
-            self.wt.probe(ProbeEvent::InlinePop { worker: self.wt.index() });
+            self.wt.record::<EMIT>(ProbeEvent::InlinePop { worker: self.wt.index() });
             self.job.run_inline()
         } else {
             self.job.take_result()
@@ -291,7 +294,7 @@ where
     }
 }
 
-impl<F, R> Drop for JoinGuard<'_, F, R>
+impl<F, R, const EMIT: bool> Drop for JoinGuard<'_, F, R, EMIT>
 where
     F: FnOnce(bool) -> R + Send,
     R: Send,
@@ -551,28 +554,69 @@ mod tests {
     }
 
     /// The one gate of `join_context`: closed, with no session thread-local
-    /// touched, while nothing can be watching; open while a session of any
-    /// of the three kinds is live, each of which then sees its join.
+    /// touched, while nothing can be watching — a consumer of only `VIEW`
+    /// or `LOCK` events cannot; open while a `SCHED` consumer is registered
+    /// or a session of any of the three kinds is live, each of which then
+    /// sees its join.
     #[test]
     fn the_gate_opens_for_each_session_kind_and_only_then() {
         use crate::probe::{self, EventMask, Probe, ProfileSpec};
         use crate::{Config, ThreadPool};
         use std::cell::Cell;
+        use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
         use std::thread;
 
         // Closed. The join runs on the pool's worker, which holds the mask
-        // empty and the thread-locals borrowed around it: taking the
-        // instrumented path would panic on the first of them.
+        // at `mask` and the thread-locals borrowed around it: taking the
+        // instrumented path would panic on the first of them. The join is
+        // counted all the same.
         let pool = ThreadPool::with_config(Config::new().num_workers(1)).expect("pool");
-        let sum = pool.install(|| {
-            probe::with_sessions_closed_and_untouchable(|| {
-                assert!(!probe::sessions_possible());
-                let (a, b) = join(|| 1, || 2);
-                a + b
-            })
-        });
-        assert_eq!(sum, 3);
+        for mask in [EventMask::NONE, EventMask::VIEW, EventMask::LOCK] {
+            let before = pool.metrics();
+            let sum = pool.install(|| {
+                probe::with_mask_held_and_sessions_untouchable(mask, || {
+                    assert!(!probe::gate_open(EventMask::SCHED), "{mask:?}");
+                    let (a, b) = join(|| 1, || 2);
+                    a + b
+                })
+            });
+            assert_eq!(sum, 3);
+            let after = pool.metrics();
+            let counted = (after.spawns - before.spawns, after.inline_pops - before.inline_pops);
+            assert_eq!(counted, (1, 1), "{mask:?}");
+        }
+
+        // Open under a `SCHED` consumer (active on its own pool's worker
+        // only): the join's events reach it, which only the instrumented
+        // instantiation of `join_on_worker` emits.
+        struct Sched(AtomicU64, AtomicU64);
+        impl Probe for Sched {
+            fn mask(&self) -> EventMask {
+                EventMask::SCHED
+            }
+            fn active(&self) -> bool {
+                thread::current().name().is_some_and(|name| name.starts_with("join-gate-sched"))
+            }
+            fn on_event(&self, event: &ProbeEvent) {
+                match event {
+                    ProbeEvent::Spawn { .. } => self.0.fetch_add(1, Ordering::Relaxed),
+                    ProbeEvent::InlinePop { .. } => self.1.fetch_add(1, Ordering::Relaxed),
+                    _ => 0,
+                };
+            }
+        }
+        let sched = Arc::new(Sched(AtomicU64::new(0), AtomicU64::new(0)));
+        let handle = probe::register(sched.clone());
+        assert!(probe::gate_open(EventMask::SCHED));
+        let pool = ThreadPool::with_config(
+            Config::new().num_workers(1).thread_name_prefix("join-gate-sched"),
+        )
+        .expect("pool");
+        assert_eq!(pool.install(|| join(|| 1, || 2)), (1, 2));
+        drop(handle);
+        let seen = (sched.0.load(Ordering::Relaxed), sched.1.load(Ordering::Relaxed));
+        assert_eq!(seen, (1, 1), "the consumer saw the join's Spawn and InlinePop");
 
         // Open under serial capture (active on this thread only, so the
         // tests sharing the process keep their parallel joins): both
@@ -595,7 +639,7 @@ mod tests {
         }
         let capture = probe::register(Arc::new(Capture));
         CAPTURING.with(|c| c.set(true));
-        assert!(probe::sessions_possible());
+        assert!(probe::gate_open(EventMask::SCHED));
         let here = thread::current().id();
         let ran_on = join(|| thread::current().id(), || thread::current().id());
         assert_eq!(ran_on, (here, here));
@@ -604,7 +648,7 @@ mod tests {
 
         // Open under an SP-order labeling: the branches are labeled parallel.
         probe::with_sp_root(|| {
-            assert!(probe::sessions_possible());
+            assert!(probe::gate_open(EventMask::SCHED));
             let label = || probe::current_sp_label().expect("labeled branch");
             let (a, b) = join(label, label);
             assert!(a.parallel_with(&b));
@@ -612,7 +656,7 @@ mod tests {
 
         // Open under a strand profile: the join is measured.
         let ((), profile) = probe::profile_strands(ProfileSpec::new(), || {
-            assert!(probe::sessions_possible());
+            assert!(probe::gate_open(EventMask::SCHED));
             join(|| probe::charge(1), || probe::charge(2));
         });
         assert_eq!((profile.work, profile.span, profile.spawns), (3, 2, 1));

@@ -37,7 +37,7 @@
 //!
 //! The three session kinds a `join` must honour — serial capture, SP-order
 //! labeling ([`with_sp_root`]) and strand profiling — share one gate:
-//! `sessions_possible` is a single relaxed load of the same mask word, and
+//! `gate_open` is a single relaxed load of the same mask word, and
 //! while it reads `false` the spawning constructs take their
 //! uninstrumented path without touching any session thread-local.
 
@@ -56,19 +56,22 @@ pub use strand::{
     StrandProfile,
 };
 
-pub(crate) use registry::sessions_possible;
+pub(crate) use registry::gate_open;
 pub(crate) use sporder::{sp_join_fork, sp_scope_begin, sp_task_fork};
 pub(crate) use strand::{
     strand_children, strand_combine, strand_scope_begin, strand_scope_combine, task_ctx, Measure,
     ScopeSession, StrandCtx, StrandScope,
 };
 
-/// Runs `f` on this thread with the probe mask held empty (no consumer or
-/// session can register meanwhile) and every session thread-local mutably
-/// borrowed, so reaching any session probe inside `f` panics.
+/// Runs `f` on this thread with the probe mask held at `mask` (no consumer
+/// or session can register meanwhile) and every session thread-local
+/// mutably borrowed, so reaching any session probe inside `f` panics.
 #[cfg(test)]
-pub(crate) fn with_sessions_closed_and_untouchable<R>(f: impl FnOnce() -> R) -> R {
-    let _closed = registry::hold_probes_closed();
+pub(crate) fn with_mask_held_and_sessions_untouchable<R>(
+    mask: EventMask,
+    f: impl FnOnce() -> R,
+) -> R {
+    let _held = registry::hold_probes_at(mask);
     sporder::with_frames_borrowed(|| strand::with_frames_borrowed(f))
 }
 

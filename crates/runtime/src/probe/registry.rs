@@ -160,7 +160,7 @@ fn publish(table: &mut Table) {
 /// (`profile_strands`) for as long as it runs. Those sessions live in
 /// thread-locals that travel with stolen closures, so "is one active on
 /// this thread?" costs a thread-local probe per `join`; the bit lets
-/// [`sessions_possible`] answer "no" for the whole process with the one
+/// [`gate_open`] answer "no" for the whole process with the one
 /// load of the gate mask. A thief that runs a session's closure sees the
 /// bit through the steal's own synchronization.
 pub(crate) struct Session(());
@@ -185,26 +185,38 @@ impl Drop for Session {
 }
 
 /// The one instrumentation gate of the spawning constructs: whether a
-/// serial-capture consumer is registered or an SP-order / strand session
-/// is live anywhere in the process. `false` (one relaxed load) means no
-/// `join`, `scope` or `cilk_for` on any thread needs its instrumented path.
+/// serial-capture consumer is registered, an SP-order / strand session is
+/// live, or a consumer of `also` is registered anywhere in the process.
+/// `false` (one relaxed load) means the construct's uninstrumented path will
+/// do: `scope` passes no group, `join` passes `SCHED`, whose events it then
+/// only counts.
 #[inline]
-pub(crate) fn sessions_possible() -> bool {
-    MASK.load(Ordering::Relaxed) & (EventMask::SERIAL_CAPTURE.bits() | EventMask::SESSION.bits())
-        != 0
+pub(crate) fn gate_open(also: EventMask) -> bool {
+    let gate = EventMask::SERIAL_CAPTURE | EventMask::SESSION | also;
+    MASK.load(Ordering::Relaxed) & gate.bits() != 0
 }
 
 /// Waits until no consumer is registered and no session is live, then
-/// blocks both kinds of registration for as long as the returned guard
-/// lives: the only way a test sharing the process with other tests can
-/// observe the gate closed. Nothing that runs under the guard may reach
-/// the registration lock; with the mask empty, no probe site does.
+/// blocks both kinds of registration and holds the gate mask at `mask` for
+/// as long as the returned guard lives: the only way a test sharing the
+/// process with other tests can observe the gates in a known state. Nothing
+/// that runs under the guard may reach the registration lock, so nothing
+/// may emit an event of a group in `mask`.
 #[cfg(test)]
-pub(crate) fn hold_probes_closed() -> impl Sized {
+pub(crate) fn hold_probes_at(mask: EventMask) -> impl Sized {
+    struct Held {
+        _table: std::sync::MutexGuard<'static, Option<Table>>,
+    }
+    impl Drop for Held {
+        fn drop(&mut self) {
+            MASK.store(0, Ordering::Relaxed);
+        }
+    }
     loop {
         let guard = poison::recover(TABLE.lock());
         if MASK.load(Ordering::Relaxed) == 0 {
-            return guard;
+            MASK.store(mask.bits(), Ordering::Relaxed);
+            return Held { _table: guard };
         }
         drop(guard);
         std::thread::yield_now();

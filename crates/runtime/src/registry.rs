@@ -234,12 +234,6 @@ impl Registry {
         self.worker_counters.iter().map(CounterBlock::snapshot).collect()
     }
 
-    /// This pool's fault handler, if one was configured.
-    #[inline]
-    pub(crate) fn fault_handler(&self) -> Option<&FaultHandler> {
-        self.fault_handler.as_ref()
-    }
-
     /// This pool's supervision state, if it was configured.
     #[inline]
     pub(crate) fn supervision(&self) -> Option<&Supervision> {
@@ -655,7 +649,7 @@ impl Registry {
     /// * `Die` has no worker to kill here, so it sheds the submission,
     ///   simulating sudden pool death at the admission boundary.
     fn consult_inject_fault(&self, tenant: TenantId) -> Result<(), Overloaded> {
-        let Some(handler) = self.fault_handler() else {
+        let Some(handler) = &self.fault_handler else {
             return Ok(());
         };
         let action = handler(FaultSite::Inject);
@@ -763,6 +757,11 @@ pub(crate) struct WorkerThread {
     deque: Worker<JobRef>,
     index: usize,
     registry: Arc<Registry>,
+    /// This slot's own block in `registry.worker_counters`; null for the
+    /// emergency serial worker, which owns no slot.
+    counters: *const CounterBlock,
+    /// The pool's fault handler, fixed when the pool is built.
+    pub(crate) fault_handler: Option<FaultHandler>,
     rng_state: Cell<u64>,
     /// The victim of this worker's most recent successful steal, probed
     /// first on the next steal round ([`NO_AFFINITY`] when unknown;
@@ -786,6 +785,8 @@ impl WorkerThread {
             last_victim: Cell::new(registry.nearest_neighbor(index)),
             depth: Cell::new(0),
             pending_death: Cell::new(false),
+            counters: registry.worker_counters.get(index).map_or(ptr::null(), ptr::from_ref),
+            fault_handler: registry.fault_handler.clone(),
             deque,
             index,
             registry,
@@ -822,7 +823,9 @@ impl WorkerThread {
     }
 
     pub(crate) fn drop_depth(&self) {
-        self.depth.set(self.depth.get().saturating_sub(1));
+        let depth = self.depth.get();
+        debug_assert!(depth > 0, "drop_depth without a matching bump_depth");
+        self.depth.set(depth - 1);
     }
 
     /// Reports one scheduler event raised by this worker: delivered to the
@@ -836,7 +839,22 @@ impl WorkerThread {
     /// one or two stores.
     #[inline(always)]
     pub(crate) fn probe(&self, event: ProbeEvent) {
-        self.registry.probe_as(self.index, event);
+        self.record::<true>(event);
+    }
+
+    /// [`WorkerThread::probe`] that hands the event on only if `EMIT`.
+    #[inline(always)]
+    pub(crate) fn record<const EMIT: bool>(&self, event: ProbeEvent) {
+        // SAFETY: `counters` is null or points into `self.registry`'s
+        // counter blocks, which the `Arc` this worker holds keeps alive;
+        // this thread owns the slot, so it is the block's only writer.
+        match unsafe { self.counters.as_ref() } {
+            Some(own) => own.record_owned(&event),
+            None => self.registry.off_pool_counters.record_shared(&event),
+        }
+        if EMIT {
+            probe::emit(&event);
+        }
     }
 
     /// Marks this worker for simulated death (see [`FaultAction::Die`]).
@@ -874,9 +892,9 @@ impl WorkerThread {
     /// out-of-line calls on every spawn. The wake-up of a publishing push
     /// stays out of line.
     #[inline(always)]
-    pub(crate) fn push(&self, job: JobRef) {
+    pub(crate) fn push<const EMIT: bool>(&self, job: JobRef) {
         let published = self.deque.push(job);
-        self.probe(ProbeEvent::DequeLen { worker: self.index, len: self.deque.len() });
+        self.record::<EMIT>(ProbeEvent::DequeLen { worker: self.index, len: self.deque.len() });
         if published {
             self.notify_published();
         }
@@ -922,7 +940,7 @@ impl WorkerThread {
         // `Panic` cannot unwind here — a scheduler thread outside a job has
         // no capture frame — so it aborts the round instead (and `Die`
         // additionally marks the worker).
-        if let Some(handler) = self.registry.fault_handler() {
+        if let Some(handler) = &self.fault_handler {
             // Consult exactly once per round: handlers may count occurrences.
             let action = handler(FaultSite::Steal);
             match action {
@@ -1413,7 +1431,7 @@ mod tests {
                     });
                     // SAFETY: planted jobs are executed (possibly after
                     // reclamation) exactly once.
-                    wt.push(unsafe { job.into_job_ref() });
+                    wt.push::<true>(unsafe { job.into_job_ref() });
                 }
                 panic!("simulated runtime bug escaping the job boundary");
             })

@@ -10,7 +10,7 @@ use std::sync::Mutex;
 
 use crate::fault::{self, FaultSite};
 use crate::job::{HeapJob, ScopeState};
-use crate::probe::{self, ProbeEvent};
+use crate::probe::{self, EventMask, ProbeEvent};
 use crate::registry::WorkerThread;
 use crate::unwind;
 
@@ -109,7 +109,7 @@ impl<'scope> Scope<'scope> {
         // label bases off the spawning strand's frame — the spawner
         // continues as the task's parallel sibling — and let the task
         // install them on whichever worker runs it.
-        let sp_task = if probe::sessions_possible() { probe::sp_task_fork() } else { None };
+        let sp_task = if probe::gate_open(EventMask::NONE) { probe::sp_task_fork() } else { None };
         if self.state.is_null() {
             // Serial-capture mode: run the task now, as the serial elision
             // would, emitting spawn/return events for the detector. Capture
@@ -256,10 +256,10 @@ where
     OP: FnOnce(&Scope<'scope>) -> R + Send,
     R: Send,
 {
-    // The same gate as `join`: one relaxed load decides whether any of the
-    // three session kinds can be watching; when none can, no session
-    // thread-local is touched.
-    let (session, sp_scope) = if probe::sessions_possible() {
+    // `join`'s gate without its `SCHED` group: one relaxed load decides
+    // whether any of the three session kinds can be watching; when none
+    // can, no session thread-local is touched.
+    let (session, sp_scope) = if probe::gate_open(EventMask::NONE) {
         // Under a serial-capture session the scope body runs on the
         // current thread with inline task execution; the scope's implicit
         // sync is reported when the body returns.

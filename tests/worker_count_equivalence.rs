@@ -2,10 +2,15 @@
 //! *schedule*, never the observable outcome. Results, reducer views —
 //! serial element order included — and cilkscreen race sets must be
 //! identical over fib, qsort and the §5 reducer tree walk at 1, 2 and 4
-//! workers — and the pool's own join counters exact at 1, 2, 4 and 8.
+//! workers — and the pool's own join counters exact at 1, 2, 4 and 8,
+//! with and without a probe consumer of the scheduler's events.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use cilk::hyper::ReducerList;
-use cilk::{Config, ThreadPool};
+use cilk::runtime::probe::{self, EventMask, Probe, ProbeEvent};
+use cilk::{Config, MetricsSnapshot, ThreadPool};
 use cilk_testkit::forall;
 use cilk_testkit::prop::{any_int, vec_of};
 use cilkscreen::instrument::run_monitored;
@@ -41,19 +46,66 @@ fn fib_agrees_across_workers() {
 /// — never both, never neither.
 #[test]
 fn join_counters_are_exact_at_any_width() {
+    for workers in [1usize, 2, 4, 8] {
+        exact_join_counters(Config::new().num_workers(workers));
+    }
+}
+
+/// Runs `fib_cutoff(22, 0)` on a pool built from `config`, asserts the
+/// join counters exact and returns them.
+fn exact_join_counters(config: Config) -> MetricsSnapshot {
     const N: u64 = 22;
     // A binary recursion of `2·fib(N+1) − 1` calls has `fib(N+1) − 1`
     // internal ones.
     let joins = (cilk_workloads::fib::fib_call_count(N) - 1) / 2;
-    for workers in [1usize, 2, 4, 8] {
-        let pool = pool_with(workers);
-        assert_eq!(pool.install(|| fib_cutoff(N, 0)), fib_serial(N), "{workers} workers");
-        let m = pool.metrics();
-        assert_eq!(m.spawns, joins, "{workers} workers: {m:?}");
-        assert_eq!(m.inline_pops + m.steals, m.spawns, "{workers} workers: {m:?}");
-        if workers == 1 {
-            assert_eq!((m.steals, m.inline_pops), (0, joins), "{m:?}");
+    let pool = ThreadPool::with_config(config).expect("failed to build worker pool");
+    let workers = pool.num_workers();
+    assert_eq!(pool.install(|| fib_cutoff(N, 0)), fib_serial(N), "{workers} workers");
+    let m = pool.metrics();
+    assert_eq!(m.spawns, joins, "{workers} workers: {m:?}");
+    assert_eq!(m.inline_pops + m.steals, m.spawns, "{workers} workers: {m:?}");
+    if workers == 1 {
+        assert_eq!((m.steals, m.inline_pops), (0, joins), "{m:?}");
+    }
+    m
+}
+
+/// A `SCHED` consumer opens `join`'s gate, so every join takes the
+/// instrumented path: the counters are as exact there, and the consumer
+/// receives one `Spawn` per counted spawn and one `InlinePop` per counted
+/// inline pop.
+#[test]
+fn join_counters_are_exact_with_a_sched_consumer() {
+    const PREFIX: &str = "sched-consumer";
+    #[derive(Default)]
+    struct Sched {
+        spawns: AtomicU64,
+        inline_pops: AtomicU64,
+    }
+    impl Probe for Sched {
+        fn mask(&self) -> EventMask {
+            EventMask::SCHED
         }
+        /// This test's pools only: the tests sharing the process join too.
+        fn active(&self) -> bool {
+            std::thread::current().name().is_some_and(|name| name.starts_with(PREFIX))
+        }
+        fn on_event(&self, event: &ProbeEvent) {
+            match event {
+                ProbeEvent::Spawn { .. } => self.spawns.fetch_add(1, Ordering::Relaxed),
+                ProbeEvent::InlinePop { .. } => self.inline_pops.fetch_add(1, Ordering::Relaxed),
+                _ => 0,
+            };
+        }
+    }
+    let sched = Arc::new(Sched::default());
+    let _registered = probe::register(sched.clone());
+    for workers in [1usize, 2, 4, 8] {
+        let config = Config::new().num_workers(workers).thread_name_prefix(PREFIX);
+        let m = exact_join_counters(config);
+        let seen =
+            (sched.spawns.swap(0, Ordering::Relaxed), sched.inline_pops.swap(0, Ordering::Relaxed));
+        assert_eq!(seen, (m.spawns, m.inline_pops), "{workers} workers: {m:?}");
     }
 }
 
