@@ -80,12 +80,18 @@ pub fn bfs_serial(graph: &Graph, source: u32) -> Vec<i64> {
 /// `cilk_for`; newly discovered vertices are claimed with an atomic
 /// compare-and-swap and collected with a list reducer.
 pub fn bfs(graph: &Graph, source: u32) -> Vec<i64> {
+    bfs_observed(graph, source, |_| {})
+}
+
+/// [`bfs`], showing `observe` each frontier in turn, the source's first.
+fn bfs_observed(graph: &Graph, source: u32, mut observe: impl FnMut(&[u32])) -> Vec<i64> {
     let n = graph.num_vertices();
     let dist: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(-1)).collect();
     dist[source as usize].store(0, Ordering::Relaxed);
     let mut frontier = vec![source];
     let mut level = 0i64;
     while !frontier.is_empty() {
+        observe(&frontier);
         level += 1;
         let next = cilk::hyper::ReducerList::<u32>::list();
         let frontier_ref = &frontier;
@@ -94,9 +100,11 @@ pub fn bfs(graph: &Graph, source: u32) -> Vec<i64> {
         cilk::cilk_for_grain(0..frontier_ref.len(), 64, move |i| {
             let v = frontier_ref[i];
             for &w in graph.neighbors(v) {
-                if dist_ref[w as usize]
-                    .compare_exchange(-1, level, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
+                // The serial elision's test first: only a vertex that still
+                // reads unvisited pays for the bus-locked claim.
+                let d = &dist_ref[w as usize];
+                if d.load(Ordering::Relaxed) == -1
+                    && d.compare_exchange(-1, level, Ordering::Relaxed, Ordering::Relaxed).is_ok()
                 {
                     next_ref.push_back(w);
                 }
@@ -142,6 +150,52 @@ mod tests {
         let serial = bfs_serial(&g, 0);
         let parallel = pool.install(|| bfs(&g, 0));
         assert_eq!(serial, parallel);
+    }
+
+    /// Every reachable vertex enters exactly one frontier, at its distance,
+    /// and the frontier lengths sum to the number of reachable vertices.
+    /// Comparing `dist` alone cannot show this: a claim that loads and then
+    /// stores leaves `dist` right while two strands both push the vertex.
+    fn assert_frontiers_partition_reachable(graph: &Graph, serial: &[i64]) {
+        let mut frontiers: Vec<Vec<u32>> = Vec::new();
+        let dist = bfs_observed(graph, 0, |frontier| frontiers.push(frontier.to_vec()));
+        assert_eq!(dist, serial);
+        let mut entered = vec![0u32; graph.num_vertices()];
+        for (level, frontier) in frontiers.iter().enumerate() {
+            for &v in frontier {
+                entered[v as usize] += 1;
+                assert_eq!(dist[v as usize], level as i64, "vertex {v} entered frontier {level}");
+            }
+        }
+        for (v, (&times, &d)) in entered.iter().zip(&dist).enumerate() {
+            assert_eq!(times, u32::from(d >= 0), "vertex {v} entered {times} frontiers");
+        }
+        let reachable = dist.iter().filter(|&&d| d >= 0).count();
+        assert_eq!(frontiers.iter().map(Vec::len).sum::<usize>(), reachable);
+    }
+
+    #[test]
+    fn each_reachable_vertex_enters_one_frontier() {
+        // `Graph::random` draws duplicate edges and self-loops, and its
+        // frontiers are not multiples of the 64-vertex grain.
+        let graphs: Vec<(Graph, Vec<i64>)> = (0..2)
+            .map(|seed| {
+                let graph = Graph::random(100_000, 8, seed);
+                let serial = bfs_serial(&graph, 0);
+                (graph, serial)
+            })
+            .collect();
+        for workers in [1, 2, 4] {
+            let pool = cilk::ThreadPool::with_config(cilk::Config::new().num_workers(workers))
+                .expect("pool");
+            pool.install(|| {
+                for (graph, serial) in &graphs {
+                    for _ in 0..3 {
+                        assert_frontiers_partition_reachable(graph, serial);
+                    }
+                }
+            });
+        }
     }
 
     #[test]
