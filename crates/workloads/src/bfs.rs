@@ -3,6 +3,7 @@
 
 use std::sync::atomic::{AtomicI64, Ordering};
 
+use cilk::hyper::{ListAppend, Monoid, ReducerList};
 use cilk_testkit::Rng;
 
 /// A directed graph in compressed adjacency form.
@@ -76,9 +77,13 @@ pub fn bfs_serial(graph: &Graph, source: u32) -> Vec<i64> {
     dist
 }
 
+/// Frontier vertices per `cilk_for` leaf: the loop's grain.
+const CHUNK: usize = 64;
+
 /// Parallel level-synchronous BFS: each level's frontier is scanned with a
-/// `cilk_for`; newly discovered vertices are claimed with an atomic
-/// compare-and-swap and collected with a list reducer.
+/// `cilk_for` over chunks of [`CHUNK`] vertices; newly discovered vertices
+/// are claimed with an atomic compare-and-swap, collected per chunk, and
+/// appended to a list reducer once per chunk.
 pub fn bfs(graph: &Graph, source: u32) -> Vec<i64> {
     bfs_observed(graph, source, |_| {})
 }
@@ -93,21 +98,28 @@ fn bfs_observed(graph: &Graph, source: u32, mut observe: impl FnMut(&[u32])) -> 
     while !frontier.is_empty() {
         observe(&frontier);
         level += 1;
-        let next = cilk::hyper::ReducerList::<u32>::list();
+        let next = ReducerList::<u32>::list();
         let frontier_ref = &frontier;
         let dist_ref = &dist;
         let next_ref = &next;
-        cilk::cilk_for_grain(0..frontier_ref.len(), 64, move |i| {
-            let v = frontier_ref[i];
-            for &w in graph.neighbors(v) {
-                // The serial elision's test first: only a vertex that still
-                // reads unvisited pays for the bus-locked claim.
-                let d = &dist_ref[w as usize];
-                if d.load(Ordering::Relaxed) == -1
-                    && d.compare_exchange(-1, level, Ordering::Relaxed, Ordering::Relaxed).is_ok()
-                {
-                    next_ref.push_back(w);
+        cilk::cilk_for_grain(0..frontier.len().div_ceil(CHUNK), 1, move |c| {
+            let chunk = &frontier_ref[c * CHUNK..frontier_ref.len().min((c + 1) * CHUNK)];
+            let mut found = Vec::new();
+            for &v in chunk {
+                for &w in graph.neighbors(v) {
+                    // The serial elision's test first: only a vertex that
+                    // still reads unvisited pays for the bus-locked claim.
+                    let d = &dist_ref[w as usize];
+                    if d.load(Ordering::Relaxed) == -1
+                        && d.compare_exchange(-1, level, Ordering::Relaxed, Ordering::Relaxed).is_ok()
+                    {
+                        found.push(w);
+                    }
                 }
+            }
+            // One reducer access per chunk; an empty view takes the buffer.
+            if !found.is_empty() {
+                next_ref.with(|view| ListAppend::new().reduce(view, found));
             }
         });
         frontier = next.into_value();
