@@ -111,6 +111,7 @@ thread_local! {
         const { RefCell::new(Local { frames: Vec::new(), roots_held: Vec::new() }) };
 }
 
+#[inline]
 fn with_local<R>(f: impl FnOnce(&mut Local) -> R) -> R {
     LOCAL.with(|local| f(&mut local.borrow_mut()))
 }
@@ -150,12 +151,14 @@ pub(crate) struct Lease {
 }
 
 impl Lease {
+    #[inline]
     pub(crate) fn view(&mut self) -> &mut (dyn Any + Send) {
         self.view.as_deref_mut().expect("a lease holds its view until dropped")
     }
 }
 
 impl Drop for Lease {
+    #[inline]
     fn drop(&mut self) {
         with_local(|local| {
             if let Some(slot) = local.frames.last_mut().and_then(|top| top.slot(self.id)) {
@@ -170,6 +173,7 @@ impl Drop for Lease {
 pub(crate) struct RootHeld(());
 
 impl Drop for RootHeld {
+    #[inline]
     fn drop(&mut self) {
         with_local(|local| local.roots_held.pop());
     }
@@ -192,6 +196,7 @@ pub(crate) enum Checkout {
 /// # Panics
 ///
 /// Naming `id`, if the strand is already inside an access to that view.
+#[inline]
 pub(crate) fn checkout(id: u64) -> Checkout {
     with_local(|local| {
         let claimed = match local.frames.last_mut() {
@@ -213,6 +218,7 @@ pub(crate) fn checkout(id: u64) -> Checkout {
 
 /// Gives the top frame `slot` as its view of `id`, handed straight back
 /// out on a lease; follows a [`checkout`] that returned `Absent`.
+#[inline]
 pub(crate) fn install(id: u64, mut slot: ViewSlot) -> Lease {
     let view = slot.view.take();
     with_local(|local| {

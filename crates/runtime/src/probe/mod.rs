@@ -128,9 +128,11 @@ impl Drop for ViewAccess {
 
 /// Reports a reducer view access if any active consumer listens for
 /// `VIEW` events; `cilk-hyper` brackets every view lookup and merge read
-/// with this. Returns `None` (one atomic load) when nobody listens.
+/// with this. Returns `None` (one atomic load, inlined into the caller)
+/// when nobody listens.
+#[inline]
 pub fn view_access(reducer: u64) -> Option<ViewAccess> {
-    if any_active(EventMask::VIEW) {
+    if registry::enabled(EventMask::VIEW) && any_active(EventMask::VIEW) {
         emit(&ProbeEvent::ViewAccessBegin { reducer });
         Some(ViewAccess { reducer })
     } else {
