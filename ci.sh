@@ -202,41 +202,56 @@ echo "== perf: benchmark smoke + unit tests (perf/README.md) =="
 # paper-E5 (spawn overhead on one worker) smoke.
 cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- --quick
 
-echo "== perf: parallel-scaling gates (speedup floors on >= 2 CPUs) =="
+echo "== perf: parallel-scaling gates (speedup and TS/TP floors on >= 2 CPUs) =="
 # A workload must not run slower on P workers than on one. fib_spawn gates
 # the spawn path (the un-stolen join cycle writes only the calling worker's
 # own memory; it once ran at 0.56x on 2 workers with no gate to catch it),
-# bfs_levels the reducer path (a view access in a stolen strand writes only
-# the thief's own memory; a per-access reference count once held it at
-# 1.3-1.46x), svc_closed the service path (submit, wake one parked worker,
-# claim, complete; it read 1.0x when every push woke every sleeper), at a
-# lower floor: its one-worker baseline pipelines two clients on a worker
-# that never parks and so never pays a wake-up, while P workers do. Ten
-# 20 s runs on a 2-vCPU host read 0.80-1.08x (median 0.95) with the mutex
-# latch and 0.89-1.05x (median 1.00) with the polling one: 0.8 is the
-# measured floor of both. A run the benchmark itself flags as disturbed —
-# other load on the machine, or the hypervisor taking processors away —
-# only warns: its timings are the neighbours', not the program's.
-scaling_gate() { # <workload> <floor> <what a slowdown would mean>
-    local workload="$1" floor="$2" meaning="$3" out speedup
+# bfs_levels the cilk_for path (64-vertex leaves, each claiming vertices
+# with a CAS and appending its finds to a list reducer once; a per-access
+# reference count once held it at 1.3-1.46x), svc_closed the service path
+# (submit, wake one parked worker, claim, complete; it read 1.0x when every
+# push woke every sleeper), at a lower floor: its one-worker baseline
+# pipelines two clients on a worker that never parks and so never pays a
+# wake-up, while P workers do. Ten 20 s runs on a 2-vCPU host read
+# 0.80-1.08x (median 0.95) with the mutex latch and 0.89-1.05x (median
+# 1.00) with the polling one: 0.8 is the measured floor of both.
+# bfs_levels also gates work efficiency: P workers must beat the serial
+# elision itself, speedup / serial_overhead = TS / TP >= 1.0 (it read
+# 0.83-0.99 when every edge paid a bus-locked CAS and every find a reducer
+# access). A run the benchmark itself flags as disturbed — other load on
+# the machine, or the hypervisor taking processors away — only warns: its
+# timings are the neighbours', not the program's.
+scaling_gate() { # <workload>, then a <metric> <floor> <what a shortfall would mean> triple per gate
+    local workload="$1" out speedup overhead metric floor meaning value
+    shift
     out="$(cargo run --release --offline --quiet --manifest-path perf/Cargo.toml -- \
         --workload "$workload" --seconds 5 --trace 0 2>&1)"
     echo "$out" | grep -E "^warning:|^  $workload " || true
     speedup="$(echo "$out" | awk -v w="$workload" '$1 == w && $2 == "speedup" { print $3 }')"
-    [ -n "$speedup" ] || { echo "perf printed no $workload speedup"; exit 1; }
-    if awk -v s="$speedup" -v f="$floor" 'BEGIN { exit !(s < f) }'; then
-        if echo "$out" | grep -qE '^warning: .*(load average|hypervisor took)'; then
-            echo "warning: $workload speedup ${speedup}x < $floor on a disturbed machine; not failing"
-        else
-            echo "$workload speedup ${speedup}x < $floor on $(nproc) CPUs: $meaning"
-            exit 1
+    overhead="$(echo "$out" | awk -v w="$workload" '$1 == w && $2 == "serial_overhead" { print $3 }')"
+    [ -n "$speedup" ] && [ -n "$overhead" ] || { echo "perf printed no $workload speedup"; exit 1; }
+    while [ "$#" -ge 3 ]; do
+        metric="$1" floor="$2" meaning="$3"
+        shift 3
+        case "$metric" in
+            speedup) value="$speedup" ;;
+            ts_over_tp) value="$(awk -v s="$speedup" -v o="$overhead" 'BEGIN { printf "%.4f", s / o }')" ;;
+        esac
+        if awk -v v="$value" -v f="$floor" 'BEGIN { exit !(v < f) }'; then
+            if echo "$out" | grep -qE '^warning: .*(load average|hypervisor took)'; then
+                echo "warning: $workload $metric ${value}x < $floor on a disturbed machine; not failing"
+            else
+                echo "$workload $metric ${value}x < $floor on $(nproc) CPUs: $meaning"
+                exit 1
+            fi
         fi
-    fi
+    done
 }
 if [ "$(nproc)" -ge 2 ]; then
-    scaling_gate fib_spawn 1.0 "a second worker slowed the spawn path down"
-    scaling_gate bfs_levels 1.0 "a second worker slowed the reducer path down"
-    scaling_gate svc_closed 0.8 "a second worker slowed the service path down"
+    scaling_gate fib_spawn speedup 1.0 "a second worker slowed the spawn path down"
+    scaling_gate bfs_levels speedup 1.0 "a second worker slowed the cilk_for path down" \
+        ts_over_tp 1.0 "parallel BFS on all workers is slower than its serial elision"
+    scaling_gate svc_closed speedup 0.8 "a second worker slowed the service path down"
 else
     echo "one CPU: no parallel speedup to gate"
 fi
