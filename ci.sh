@@ -56,13 +56,16 @@ echo "== release-mode runtime: the optimizer-sensitive unsafe =="
 # `join`'s unwind guard, `StackJob`'s uninitialized result cell and the
 # deque's inlined owner path are `unsafe` whose mistakes an optimizer can
 # expose and a debug build can hide; the suite above runs them in debug.
-# cilk-hyper's suite covers the side slot a stolen continuation's views
-# come back through; worker_count_equivalence both instantiations of
-# `join_on_worker` (with and without a `SCHED` consumer).
+# A stolen continuation's view frame comes back to its joiner through
+# `StackJob`'s result slot: cilk-hyper's suite, reducer_semantics and the
+# view-merge fault test cover it; worker_count_equivalence both
+# instantiations of `join_on_worker` (with and without a `SCHED` consumer).
 release_start=$SECONDS
 cargo test --release -q --offline -p cilk-runtime
 cargo test --release -q --offline -p cilk-hyper
 cargo test --release -q --offline --test fault_matrix pinned_seed_slice
+cargo test --release -q --offline --test fault_matrix view_merge_panic_leaks_no_views
+cargo test --release -q --offline --test reducer_semantics
 cargo test --release -q --offline --test worker_count_equivalence
 echo "release-mode runtime stage: $((SECONDS - release_start)) s"
 

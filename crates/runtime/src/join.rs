@@ -18,28 +18,11 @@
 use std::mem;
 
 use crate::fault::{self, FaultSite};
-use crate::job::{JobRef, StackJob};
+use crate::job::{self, JobRef, StackJob, StrandState};
 use crate::latch::{CoreLatch, Probe};
 use crate::probe::{self, EventMask, ProbeEvent};
 use crate::registry::WorkerThread;
 use crate::unwind;
-
-/// Context passed to the closures of [`join_context`].
-#[derive(Debug, Clone, Copy)]
-pub struct JoinContext {
-    migrated: bool,
-}
-
-impl JoinContext {
-    /// Whether this closure is executing on a different worker than the one
-    /// that called `join` — i.e. whether the continuation was stolen.
-    ///
-    /// Reducer hyperobjects use this to decide when a fresh view must be
-    /// created (§5 of the paper; see the `cilk-hyper` crate).
-    pub fn migrated(&self) -> bool {
-        self.migrated
-    }
-}
 
 /// Runs `a` and `b`, potentially in parallel, returning both results.
 ///
@@ -51,6 +34,10 @@ impl JoinContext {
 /// If either closure panics, the panic is resumed by `join` after both
 /// closures have come to rest. If both panic, `a`'s panic wins.
 ///
+/// A stolen `b` runs under the registered [`crate::StrandLocal`], whose
+/// state is merged here once both sides are at rest; an un-stolen `b`
+/// never touches it.
+///
 /// # Examples
 ///
 /// ```
@@ -61,18 +48,6 @@ pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    join_context(|_| a(), |_| b())
-}
-
-/// Like [`join`], but the closures receive a [`JoinContext`] that reports
-/// whether they migrated to another worker.
-pub fn join_context<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce(JoinContext) -> RA + Send,
-    B: FnOnce(JoinContext) -> RB + Send,
     RA: Send,
     RB: Send,
 {
@@ -88,13 +63,13 @@ where
     crate::in_worker(move |wt| unsafe { join_on_worker::<false, _, _, _, _>(wt, a, b) })
 }
 
-/// [`join_context`] while something may be watching: wraps the branches
+/// [`join`] while something may be watching: wraps the branches
 /// for each session kind active on this thread, and emits the join's events.
 #[cold]
 fn join_instrumented<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
-    A: FnOnce(JoinContext) -> RA + Send,
-    B: FnOnce(JoinContext) -> RB + Send,
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
     RA: Send,
     RB: Send,
 {
@@ -114,13 +89,13 @@ where
         Some((child, cont)) => (Some(child), Some(cont)),
         None => (None, None),
     };
-    let a = move |ctx| {
+    let a = move || {
         let _sp = sp_a.map(probe::SpFrameGuard::enter);
-        a(ctx)
+        a()
     };
-    let b = move |ctx| {
+    let b = move || {
         let _sp = sp_b.map(probe::SpFrameGuard::enter);
-        b(ctx)
+        b()
     };
     // A strand-profiling session wraps both branches in frames whose
     // `Copy` context travels with the closure to whichever worker runs
@@ -136,14 +111,14 @@ where
             let ((ra, ma), (rb, mb)) = crate::in_worker(move |wt| unsafe {
                 join_on_worker::<true, _, _, _, _>(
                     wt,
-                    move |ctx| {
+                    move || {
                         let frame = probe::StrandScope::enter(actx);
-                        let r = a(ctx);
+                        let r = a();
                         (r, frame.finish())
                     },
-                    move |ctx| {
+                    move || {
                         let frame = probe::StrandScope::enter(bctx);
-                        let r = b(ctx);
+                        let r = b();
                         (r, frame.finish())
                     },
                 )
@@ -154,13 +129,13 @@ where
     }
 }
 
-/// The serial-elision path of [`join_context`]: both branches run
+/// The serial-elision path of [`join`]: both branches run
 /// depth-first on the current thread with structure events (and, when a
 /// profiling session is also active, strand measures) around them.
 fn join_serial_capture<A, B, RA, RB>(capture: probe::SerialCapture, a: A, b: B) -> (RA, RB)
 where
-    A: FnOnce(JoinContext) -> RA + Send,
-    B: FnOnce(JoinContext) -> RB + Send,
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
     RA: Send,
     RB: Send,
 {
@@ -172,9 +147,9 @@ where
     // for everything that follows in the session. This also matches
     // the parallel semantics (both sides come to rest; `a`'s panic
     // wins) rather than the strict serial elision.
-    let (ra, ma) = run_captured_branch(profiled.map(|p| p.0), || a(JoinContext { migrated: false }));
+    let (ra, ma) = run_captured_branch(profiled.map(|p| p.0), a);
     capture.spawn_end();
-    let (rb, mb) = run_captured_branch(profiled.map(|p| p.1), || b(JoinContext { migrated: false }));
+    let (rb, mb) = run_captured_branch(profiled.map(|p| p.1), b);
     capture.sync();
     if let (Some(ma), Some(mb)) = (ma, mb) {
         probe::strand_combine(ma, mb);
@@ -211,27 +186,28 @@ fn run_captured_branch<R>(
     }
 }
 
-/// The worker-side implementation of `join_context`: push the continuation
-/// `b`, run the child `a`, pop `b` back and run it (or wait for its thief),
-/// then the implicit sync. No capture frame: if either side unwinds, the
-/// [`JoinGuard`] brings `b` to rest and restores the depth. Its events are
-/// counted, and handed to the probe consumers only if `EMIT`.
+/// The worker-side implementation of `join`: push the continuation `b`,
+/// run the child `a`, pop `b` back and run it (or wait for its thief),
+/// then the implicit sync, and the merge of a stolen `b`'s
+/// [`crate::StrandLocal`] state. No capture frame: if either side unwinds,
+/// the [`JoinGuard`] brings `b` to rest, drops that state and restores the
+/// depth. Its events are counted, and handed to the probe consumers only if
+/// `EMIT`.
 ///
 /// # Safety
 ///
 /// Must be called on a worker thread; `wt` must be the current worker.
 unsafe fn join_on_worker<const EMIT: bool, A, B, RA, RB>(wt: &WorkerThread, a: A, b: B) -> (RA, RB)
 where
-    A: FnOnce(JoinContext) -> RA + Send,
-    B: FnOnce(JoinContext) -> RB + Send,
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
     RA: Send,
     RB: Send,
 {
     let depth = wt.bump_depth();
     wt.record::<EMIT>(ProbeEvent::Spawn { worker: wt.index(), depth });
 
-    let job_b =
-        StackJob::new(wt.index(), |migrated| b(JoinContext { migrated }), CoreLatch::new());
+    let job_b = StackJob::<_, _, _, true>::new(b, CoreLatch::new());
     let job_b_ref = job_b.as_job_ref();
     wt.push::<EMIT>(job_b_ref);
     let mut guard =
@@ -240,14 +216,18 @@ where
     // Work-first: `a` runs now. The `spawn` fault point is part of `a`, so
     // an injected panic is the spawned child panicking on entry.
     fault::fault_point_on(wt, FaultSite::Spawn);
-    let result_a = a(JoinContext { migrated: false });
-    let result_b = guard.join_b();
+    let result_a = a();
+    let (result_b, stolen_state) = guard.join_b();
     mem::forget(guard);
     wt.drop_depth();
 
     // The implicit `cilk_sync`: an injected fault here surfaces after both
-    // branches have come to rest, exactly like a panic at the sync point.
+    // branches have come to rest, exactly like a panic at the sync point,
+    // and drops a stolen `b`'s state unmerged.
     fault::fault_point_on(wt, FaultSite::Sync);
+    if let Some(state) = stolen_state {
+        job::merge_strand_state(state);
+    }
     (result_a, result_b)
 }
 
@@ -256,11 +236,11 @@ where
 /// slot. Forgotten on the normal path.
 struct JoinGuard<'a, F, R, const EMIT: bool>
 where
-    F: FnOnce(bool) -> R + Send,
+    F: FnOnce() -> R + Send,
     R: Send,
 {
     wt: &'a WorkerThread,
-    job: &'a StackJob<CoreLatch, F, R>,
+    job: &'a StackJob<CoreLatch, F, R, true>,
     job_ref: JobRef,
     /// `job` is still on the deque or with a thief.
     pending: bool,
@@ -268,26 +248,26 @@ where
 
 impl<F, R, const EMIT: bool> JoinGuard<'_, F, R, EMIT>
 where
-    F: FnOnce(bool) -> R + Send,
+    F: FnOnce() -> R + Send,
     R: Send,
 {
     /// Brings the spawned side to rest and takes its result: pops it back
     /// and runs it inline if nobody stole it — the common case the paper
-    /// credits for near-zero spawn overhead — or defers to
-    /// [`resolve_spawned`].
+    /// credits for near-zero spawn overhead, with no strand state — or
+    /// defers to [`resolve_spawned`] and takes the thief's result and state.
     ///
     /// # Safety
     ///
     /// At most once per guard, on the worker that pushed the job.
     #[inline(always)]
-    unsafe fn join_b(&mut self) -> R {
+    unsafe fn join_b(&mut self) -> (R, Option<StrandState>) {
         let popped = self.wt.take_local_job();
         let popped_back = popped == Some(self.job_ref)
             || resolve_spawned(self.wt, &self.job.latch, self.job_ref, popped);
         self.pending = false;
         if popped_back {
             self.wt.record::<EMIT>(ProbeEvent::InlinePop { worker: self.wt.index() });
-            self.job.run_inline()
+            (self.job.run_inline(), None)
         } else {
             self.job.take_result()
         }
@@ -296,12 +276,13 @@ where
 
 impl<F, R, const EMIT: bool> Drop for JoinGuard<'_, F, R, EMIT>
 where
-    F: FnOnce(bool) -> R + Send,
+    F: FnOnce() -> R + Send,
     R: Send,
 {
     /// `a` or `b` is unwinding. A pending `b` comes to rest under one
-    /// capture that discards its panic, so `a`'s wins; each panic counts
-    /// as captured, as a capture frame around each side would.
+    /// capture that discards its panic, so `a`'s wins, and its strand
+    /// state is dropped unmerged; each panic counts as captured, as a
+    /// capture frame around each side would.
     #[cold]
     fn drop(&mut self) {
         let wt = self.wt;
@@ -479,8 +460,8 @@ mod tests {
                 let (depth_before, caught, depth_after) = pool.install(|| {
                     let before = crate::current_depth();
                     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        join_context(
-                            |_| {
+                        join(
+                            || {
                                 // Four nested pushes publish `b` out of the
                                 // owner's private window.
                                 nest(4, &|| {
@@ -490,8 +471,7 @@ mod tests {
                                 });
                                 panic!("a dies")
                             },
-                            |ctx| {
-                                assert!(ctx.migrated(), "b runs on the thief");
+                            || {
                                 b_started.store(true, Ordering::Release);
                                 std::thread::sleep(Duration::from_millis(1));
                                 b_done.store(true, Ordering::Release);
@@ -553,7 +533,7 @@ mod tests {
         }
     }
 
-    /// The one gate of `join_context`: closed, with no session thread-local
+    /// The one gate of `join`: closed, with no session thread-local
     /// touched, while nothing can be watching — a consumer of only `VIEW`
     /// or `LOCK` events cannot; open while a `SCHED` consumer is registered
     /// or a session of any of the three kinds is live, each of which then
@@ -660,11 +640,5 @@ mod tests {
             join(|| probe::charge(1), || probe::charge(2));
         });
         assert_eq!((profile.work, profile.span, profile.spawns), (3, 2, 1));
-    }
-
-    #[test]
-    fn join_context_reports_not_migrated_for_a() {
-        let (ma, _mb) = join_context(|ctx| ctx.migrated(), |ctx| ctx.migrated());
-        assert!(!ma, "work-first runs the left branch on the calling worker");
     }
 }

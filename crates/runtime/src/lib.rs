@@ -8,13 +8,18 @@
 //!
 //! The public surface mirrors the three-keyword programming model:
 //!
-//! * [`join`] / [`join_context`] — `cilk_spawn` + `cilk_sync` of two
-//!   branches (the child runs immediately, the continuation is stealable);
+//! * [`join`] — `cilk_spawn` + `cilk_sync` of two branches (the child
+//!   runs immediately, the continuation is stealable);
 //! * [`scope`] — a dynamic set of spawns with the implicit sync every Cilk
 //!   function performs before returning;
 //! * [`for_each_index`] / [`map_reduce_index`] — `cilk_for`, implemented
 //!   as divide-and-conquer recursion over the iteration space, exactly as
 //!   the paper describes.
+//!
+//! Per-strand state that must follow steals — `cilk-hyper`'s reducer
+//! views — registers one [`StrandLocal`], which the runtime calls around a
+//! stolen `join` continuation and at its join; an un-stolen `join` never
+//! touches it.
 //!
 //! A [`ThreadPool`] may be constructed explicitly (e.g. to override the
 //! worker count, as the paper allows), or the lazily created global pool
@@ -65,7 +70,8 @@ pub use admission::{
 };
 pub use config::{BuildPoolError, Config, RuntimeStalled};
 pub use handle::JobHandle;
-pub use join::{join, join_context, JoinContext};
+pub use job::{set_strand_local, StrandLocal, StrandState};
+pub use join::join;
 pub use metrics::MetricsSnapshot;
 pub use parallel_for::{for_each_index, for_each_slice_mut, map_reduce_index, Grain};
 pub use retry::RetryPolicy;

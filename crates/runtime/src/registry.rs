@@ -29,8 +29,8 @@ use crate::probe::{self, ProbeEvent};
 use crate::supervisor::{self, Supervision};
 use crate::unwind;
 
-/// Owner index used for jobs injected from outside the pool; never equal to
-/// a real worker index, so injected jobs always count as "migrated".
+/// Worker index standing for a thread outside the pool (an injecting
+/// caller); never equal to a real worker index.
 pub(crate) const INJECTED_OWNER: usize = usize::MAX - 7;
 
 /// Sentinel for "no affinity information yet" in the locality-aware victim
@@ -437,9 +437,8 @@ impl Registry {
         // the op and the caller can run it serially in place.
         let mut op_slot = Some(op);
         let op_ptr = SendPtr(&mut op_slot as *mut Option<OP>);
-        let job = StackJob::new(
-            INJECTED_OWNER,
-            move |_migrated| {
+        let job = StackJob::<_, _, _, false>::new(
+            move || {
                 let op_ptr = op_ptr;
                 let wt = WorkerThread::current();
                 debug_assert!(!wt.is_null(), "injected job must run on a worker");
@@ -491,8 +490,9 @@ impl Registry {
         // Count completion before `take_result`: a captured panic resumes
         // there, and the billed work did run to its end.
         bill(Injector::note_completed);
-        // SAFETY: the latch is set, so the job has run and stored its result.
-        Ok(unsafe { job.take_result() })
+        // SAFETY: the latch is set, so the job has run and stored its result
+        // (with no strand state: an injected job is not a `join`'s).
+        Ok(unsafe { job.take_result() }.0)
     }
 
     /// Serial in-place execution of an installed op: the last resort of a
