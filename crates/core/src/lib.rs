@@ -187,6 +187,8 @@ where
     M: Fn(usize) -> T + Sync,
     R: Fn(T, T) -> T + Sync,
 {
+    // Reducers touched by `map` follow its steals, as in `cilk_for`.
+    cilk_hyper::follow_steals();
     cilk_runtime::map_reduce_index(range, Grain::Auto, identity, map, reduce)
 }
 

@@ -48,7 +48,7 @@ mod monoid;
 mod reducer;
 
 pub use control::{for_each_index, join, scope, Scope};
-pub use frames::live_views;
+pub use frames::{follow_steals, live_views};
 pub use monoid::{And, Holder, ListAppend, Max, Min, Monoid, Or, StrCat, Sum};
 pub use reducer::{
     Reducer, ReducerAnd, ReducerList, ReducerMax, ReducerMin, ReducerOr, ReducerString,

@@ -1,0 +1,9 @@
+//! A reducer created in an already-stolen strand, at 2 workers; see
+//! `stolen_strand/mod.rs`.
+
+mod stolen_strand;
+
+#[test]
+fn a_reducer_created_in_a_stolen_strand_reduces_in_serial_order_at_2_workers() {
+    stolen_strand::reduces_in_serial_order(2);
+}
