@@ -60,6 +60,8 @@ echo "== release-mode runtime: the optimizer-sensitive unsafe =="
 # `StackJob`'s result slot: cilk-hyper's suite, reducer_semantics and the
 # view-merge fault test cover it; worker_count_equivalence both
 # instantiations of `join_on_worker` (with and without a `SCHED` consumer).
+# alloc_counts counts heap allocations per solve: per level and per steal
+# in BFS, none per leaf; none per spawn or steal in fib and qsort.
 release_start=$SECONDS
 cargo test --release -q --offline -p cilk-runtime
 cargo test --release -q --offline -p cilk-hyper
@@ -67,6 +69,7 @@ cargo test --release -q --offline --test fault_matrix pinned_seed_slice
 cargo test --release -q --offline --test fault_matrix view_merge_panic_leaks_no_views
 cargo test --release -q --offline --test reducer_semantics
 cargo test --release -q --offline --test worker_count_equivalence
+cargo test --release -q --offline --test alloc_counts
 echo "release-mode runtime stage: $((SECONDS - release_start)) s"
 
 echo "== cilk-check: bounded-exhaustive model suites (docs/model-checking.md) =="
@@ -210,8 +213,11 @@ echo "== perf: parallel-scaling gates (speedup and TS/TP floors on >= 2 CPUs) ==
 # the spawn path (the un-stolen join cycle writes only the calling worker's
 # own memory; it once ran at 0.56x on 2 workers with no gate to catch it),
 # bfs_levels the cilk_for path (64-vertex leaves, each claiming vertices
-# with a CAS and appending its finds to a list reducer once; a per-access
-# reference count once held it at 1.3-1.46x), svc_closed the service path
+# with a CAS and pushing them straight into its view of the level's list
+# reducer, one access per leaf; a per-access reference count once held it
+# at 1.3-1.46x, and a per-leaf `Vec`, whose allocations locked a malloc
+# arena both workers shared, at 1.34-1.91x on 2-vCPU hosts against
+# 1.90-2.07x without it), svc_closed the service path
 # (submit, wake one parked worker, claim, complete; it read 1.0x when every
 # push woke every sleeper), at a lower floor: its one-worker baseline
 # pipelines two clients on a worker that never parks and so never pays a

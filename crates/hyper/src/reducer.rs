@@ -117,6 +117,12 @@ impl<M: Monoid> Reducer<M> {
     /// several root-context threads share the reducer. Nothing is borrowed
     /// while `f` runs: it may update other reducers and may fork.
     ///
+    /// `f` may run a loop leaf's whole loop. That is how a `cilk_for` leaf
+    /// feeds a list reducer: one access per leaf, each update pushed
+    /// straight into the view. A per-leaf buffer appended once costs an
+    /// allocation per leaf instead, and `malloc` takes the lock of an arena
+    /// the workers may share.
+    ///
     /// # Panics
     ///
     /// If `f` re-enters *this* reducer — calls `with` on it, or joins a
