@@ -142,6 +142,12 @@ where
 /// Grain size is automatic ([`Grain::Auto`]); use [`cilk_for_grain`] to
 /// override, as Cilk++'s `#pragma cilk grainsize` does.
 ///
+/// # Panics
+///
+/// If `body` panics, chunks that have not started are cancelled and the
+/// first panic resumes here once the running chunks have come to rest:
+/// each index runs at most once, exactly once when nothing panics.
+///
 /// # Examples
 ///
 /// ```
@@ -156,9 +162,8 @@ pub fn cilk_for<F>(range: std::ops::Range<usize>, body: F)
 where
     F: Fn(usize) + Sync,
 {
-    let n = range.end.saturating_sub(range.start);
-    let grain = Grain::Auto.resolve(n, cilk_runtime::current_num_workers());
-    cilk_hyper::for_each_index(range, grain, body);
+    cilk_hyper::follow_steals();
+    cilk_runtime::for_each_index(range, Grain::Auto, body);
 }
 
 /// [`cilk_for`] with an explicit grain size.

@@ -1,4 +1,4 @@
-//! Reducer-aware control constructs: `join`, `scope`, and `for_each`.
+//! Reducer-aware control constructs: `join`, `scope`, and `for_each_index`.
 //!
 //! They follow the view-frame protocol of §5: a stolen continuation starts
 //! with fresh identity views; when strands join, views are reduced in
@@ -10,6 +10,13 @@
 //! through it reads 12.1–12.5 ns per join, a copy of the same recursion
 //! over `cilk_runtime::join` 11.9–12.2 ns (min of 40 solves, four runs,
 //! 2-vCPU x86-64 box). `scope` wraps each of its tasks in a frame.
+//!
+//! [`for_each_index`] is the same check and `cilk_runtime::for_each_index`,
+//! the one loop recursion, so a reducer-aware loop keeps the runtime
+//! loop's panic contract: the first panicking iteration cancels the chunks
+//! that have not started, the panic resumes at the loop once the running
+//! chunks have come to rest, and no index runs twice. Each chunk it runs
+//! is a `LoopChunk` probe event and a `loop-chunk` fault point.
 
 use std::sync::Mutex;
 
@@ -146,9 +153,15 @@ where
     result
 }
 
-/// Reducer-aware `cilk_for`: applies `body` to each index of `range` in
-/// parallel by divide-and-conquer joins, so hyperobject updates inside
-/// the loop land in serial iteration order.
+/// Reducer-aware `cilk_for`: [`cilk_runtime::for_each_index`] with an
+/// explicit grain, once this crate's view frames are registered, so
+/// hyperobject updates inside the loop land in serial iteration order.
+///
+/// # Panics
+///
+/// The runtime loop's contract: the first panicking iteration cancels the
+/// chunks that have not started, and the panic resumes here once every
+/// running chunk has come to rest, so each index runs at most once.
 ///
 /// # Examples
 ///
@@ -163,28 +176,8 @@ pub fn for_each_index<F>(range: std::ops::Range<usize>, grain: usize, body: F)
 where
     F: Fn(usize) + Sync,
 {
-    let n = range.end.saturating_sub(range.start);
-    if n == 0 {
-        return;
-    }
-    // Registered once here; the loop's own joins are the runtime's.
     frames::follow_steals();
-    recurse(range, grain.max(1), &body);
-
-    fn recurse<F: Fn(usize) + Sync>(range: std::ops::Range<usize>, grain: usize, body: &F) {
-        let n = range.end - range.start;
-        if n <= grain {
-            for i in range {
-                body(i);
-            }
-            return;
-        }
-        let mid = range.start + n / 2;
-        cilk_runtime::join(
-            || recurse(range.start..mid, grain, body),
-            || recurse(mid..range.end, grain, body),
-        );
-    }
+    cilk_runtime::for_each_index(range, cilk_runtime::Grain::Explicit(grain), body);
 }
 
 #[cfg(test)]

@@ -130,12 +130,6 @@ counter_table! {
     count steals: ProbeEvent::StealSuccess { .. } => 1;
     /// Steal attempts that found the victim empty or lost a race.
     count failed_steals: ProbeEvent::StealFailed { .. } => 1;
-    /// Steals served by the locality fast path (the thief's cached last
-    /// victim or its steal-back target); a subset of `steals`.
-    count steals_affinity_hits: ProbeEvent::StealLocalAffinity { .. } => 1;
-    /// Steal rounds that found nothing at their affinity targets and fell
-    /// back to the randomized ring scan.
-    count steals_fallback: ProbeEvent::StealRandomFallback { .. } => 1;
     /// Continuations made available to thieves by `join`.
     count spawns: ProbeEvent::Spawn { .. } => 1;
     /// Tasks spawned through a `scope`.
@@ -254,8 +248,6 @@ mod tests {
         record(&ProbeEvent::Inject);
         record(&ProbeEvent::StealSuccess { thief: 1, victim: 0 });
         record(&ProbeEvent::StealFailed { thief: 1 });
-        record(&ProbeEvent::StealLocalAffinity { thief: 1, victim: 0 });
-        record(&ProbeEvent::StealRandomFallback { thief: 1 });
         record(&ProbeEvent::StealAborted { thief: 1 });
         record(&ProbeEvent::DequeLen { worker: 0, len: 6 });
         record(&ProbeEvent::DequeLen { worker: 0, len: 3 });
@@ -299,8 +291,6 @@ mod tests {
         let expected = MetricsSnapshot {
             steals: 1,
             failed_steals: 1,
-            steals_affinity_hits: 1,
-            steals_fallback: 1,
             spawns: 2,
             scope_spawns: 1,
             injections: 1,

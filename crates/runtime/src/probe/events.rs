@@ -187,22 +187,6 @@ pub enum ProbeEvent {
         /// Index of the stealing worker.
         thief: usize,
     },
-    /// A steal succeeded on the locality fast path — the thief's cached
-    /// last victim or its steal-back target (the worker that most recently
-    /// stole from *it*) — without scanning the ring. Always paired with a
-    /// [`ProbeEvent::StealSuccess`] for the same theft.
-    StealLocalAffinity {
-        /// Index of the stealing worker.
-        thief: usize,
-        /// Index of the affinity victim that supplied the job.
-        victim: usize,
-    },
-    /// A steal round found no job at its affinity targets and fell back to
-    /// the randomized ring scan.
-    StealRandomFallback {
-        /// Index of the stealing worker.
-        thief: usize,
-    },
     /// A whole steal round was aborted by an injected fault.
     StealAborted {
         /// Index of the aborting worker.
@@ -399,8 +383,6 @@ impl ProbeEvent {
             | ProbeEvent::Inject
             | ProbeEvent::StealSuccess { .. }
             | ProbeEvent::StealFailed { .. }
-            | ProbeEvent::StealLocalAffinity { .. }
-            | ProbeEvent::StealRandomFallback { .. }
             | ProbeEvent::StealAborted { .. }
             | ProbeEvent::DequeLen { .. }
             | ProbeEvent::JobAdmitted { .. }
@@ -461,8 +443,6 @@ mod tests {
             ProbeEvent::Inject,
             ProbeEvent::StealSuccess { thief: 0, victim: 1 },
             ProbeEvent::StealFailed { thief: 0 },
-            ProbeEvent::StealLocalAffinity { thief: 0, victim: 1 },
-            ProbeEvent::StealRandomFallback { thief: 0 },
             ProbeEvent::StealAborted { thief: 0 },
             ProbeEvent::DequeLen { worker: 0, len: 3 },
             ProbeEvent::JobAdmitted { tenant: 4 },

@@ -10,7 +10,7 @@
 
 use std::cell::Cell;
 use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -33,19 +33,9 @@ use crate::unwind;
 /// caller); never equal to a real worker index.
 pub(crate) const INJECTED_OWNER: usize = usize::MAX - 7;
 
-/// Sentinel for "no affinity information yet" in the locality-aware victim
-/// selection (never a valid worker index).
-const NO_AFFINITY: usize = usize::MAX;
-
 /// Per-worker bookkeeping visible to the whole registry.
 struct ThreadInfo {
     stealer: Stealer<JobRef>,
-    /// Index of the worker that most recently stole from this one
-    /// ([`NO_AFFINITY`] until the first theft). When this worker runs dry
-    /// it tries that thief first — "steal back": the thief took a
-    /// continuation whose working set this worker just touched, so its
-    /// deque is the likeliest home of cache-warm related work.
-    last_thief: AtomicUsize,
     /// Where this slot's worker blocks when the idle protocol parks it:
     /// the slot's, not the thread's, so a respawned worker parks on it too.
     parker: Parker,
@@ -125,7 +115,6 @@ impl Registry {
             let deque = cilk_deque::Deque::new();
             infos.push(ThreadInfo {
                 stealer: deque.stealer(),
-                last_thief: AtomicUsize::new(NO_AFFINITY),
                 parker: Parker::new(),
             });
             deques.push(deque.into_worker_with(Protocol::fence_elided()));
@@ -202,18 +191,6 @@ impl Registry {
             if state != 0 {
                 return state;
             }
-        }
-    }
-
-    /// The ring-adjacent worker of `index` — the initial steal-back-free
-    /// affinity guess — or [`NO_AFFINITY`] when the pool has no other
-    /// worker to name.
-    fn nearest_neighbor(&self, index: usize) -> usize {
-        let n = self.num_workers();
-        if n <= 1 || index >= n {
-            NO_AFFINITY
-        } else {
-            (index + 1) % n
         }
     }
 
@@ -763,11 +740,6 @@ pub(crate) struct WorkerThread {
     /// The pool's fault handler, fixed when the pool is built.
     pub(crate) fault_handler: Option<FaultHandler>,
     rng_state: Cell<u64>,
-    /// The victim of this worker's most recent successful steal, probed
-    /// first on the next steal round ([`NO_AFFINITY`] when unknown;
-    /// initialized to the ring-adjacent neighbor so the first round of a
-    /// fresh worker is a nearness probe rather than a blind scan).
-    last_victim: Cell<usize>,
     depth: Cell<usize>,
     /// Set by [`FaultAction::Die`]: the worker finishes the obligations
     /// already on its stack and retires at its next top-of-loop (sealing
@@ -777,12 +749,11 @@ pub(crate) struct WorkerThread {
 
 impl WorkerThread {
     /// The context of the worker in slot `index` (one past the last slot
-    /// for the emergency serial worker, which so gets no affinity hint),
-    /// drawing victims from the pool's PRNG stream `rng_key`.
+    /// for the emergency serial worker), drawing victims from the pool's
+    /// PRNG stream `rng_key`.
     fn new(registry: Arc<Registry>, index: usize, deque: Worker<JobRef>, rng_key: u64) -> Self {
         WorkerThread {
             rng_state: Cell::new(registry.worker_rng_state(rng_key)),
-            last_victim: Cell::new(registry.nearest_neighbor(index)),
             depth: Cell::new(0),
             pending_death: Cell::new(false),
             counters: registry.worker_counters.get(index).map_or(ptr::null(), ptr::from_ref),
@@ -932,7 +903,8 @@ impl WorkerThread {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    /// One full round of steal attempts over random victims.
+    /// One full round of steal attempts: a ring scan over every other
+    /// worker from a random start (the paper's random victim selection).
     fn steal(&self) -> Option<JobRef> {
         self.beat(supervisor::BeatSite::StealRound);
         // Fault consultation happens before the single-worker early-return
@@ -961,31 +933,6 @@ impl WorkerThread {
         if n <= 1 {
             return None;
         }
-        // Locality pass: the cached last victim first, then the steal-back
-        // target (the worker that most recently robbed *us*). Both are
-        // O(1) probes, no scan; under recursive workloads a warm pool
-        // resolves most rounds here. The emergency serial worker (sentinel
-        // index) has no slot, hence no steal-back hint.
-        let steal_back = if self.index < n {
-            self.registry.thread_infos[self.index].last_thief.load(Ordering::Relaxed)
-        } else {
-            NO_AFFINITY
-        };
-        let cached = self.last_victim.get();
-        // When both hints name the same worker, probe it once.
-        let steal_back = if steal_back == cached { NO_AFFINITY } else { steal_back };
-        for victim in [cached, steal_back] {
-            if victim >= n || victim == self.index {
-                continue;
-            }
-            if let Steal::Success(job) = self.steal_from(victim) {
-                self.probe(ProbeEvent::StealLocalAffinity { thief: self.index, victim });
-                return Some(job);
-            }
-        }
-        // Affinity missed: fall back to the randomized ring scan over
-        // every other worker (the paper's random victim selection).
-        self.probe(ProbeEvent::StealRandomFallback { thief: self.index });
         loop {
             let mut retry = false;
             let start = (self.next_random() as usize) % n;
@@ -1007,9 +954,7 @@ impl WorkerThread {
     /// slot read as empty without an attempt: degraded pools shrink the
     /// victim set to live workers, and a slot is only marked dead *after*
     /// its deque has been drained into the injector, so skipping it strands
-    /// nothing. A theft updates the locality hints: the victim becomes this
-    /// thief's first guess for the next round, and learns who robbed it so
-    /// it can steal back when it runs dry.
+    /// nothing.
     fn steal_from(&self, victim: usize) -> Steal<JobRef> {
         let registry = &*self.registry;
         if victim == self.index || registry.supervision().is_some_and(|sup| !sup.is_alive(victim)) {
@@ -1017,10 +962,6 @@ impl WorkerThread {
         }
         let attempt = registry.thread_infos[victim].stealer.steal();
         if let Steal::Success(_) = attempt {
-            self.last_victim.set(victim);
-            if self.index < registry.num_workers() {
-                registry.thread_infos[victim].last_thief.store(self.index, Ordering::Relaxed);
-            }
             self.probe(ProbeEvent::StealSuccess { thief: self.index, victim });
         } else {
             self.probe(ProbeEvent::StealFailed { thief: self.index });
@@ -1364,25 +1305,6 @@ mod tests {
             for b in &spans[i + 1..] {
                 assert!(a.1 <= b.0 || b.1 <= a.0, "{a:x?} overlaps {b:x?}");
             }
-        }
-        registry.terminate();
-        for h in handles {
-            h.join().expect("worker panicked");
-        }
-    }
-
-    #[test]
-    fn affinity_hits_stay_subset_of_steals() {
-        let config = Config::new().num_workers(4);
-        let (registry, handles) = Registry::new(&config).expect("spawn workers");
-        let v = registry.in_worker(|_| fib(18));
-        assert_eq!(v, 2584);
-        let m = registry.metrics();
-        assert!(m.steals_affinity_hits <= m.steals, "{m:?}");
-        if m.steals > 0 {
-            // Every successful steal either hit the affinity fast path or
-            // came from a round that probed it and fell back.
-            assert!(m.steals_affinity_hits + m.steals_fallback > 0, "{m:?}");
         }
         registry.terminate();
         for h in handles {

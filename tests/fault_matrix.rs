@@ -76,9 +76,12 @@ enum Workload {
     Qsort,
     Matmul,
     TreeReducer,
-    /// A `cilk_for` map-reduce: the only workload that reaches the
+    /// A runtime map-reduce: one of the two workloads that reach the
     /// `loop-chunk` fault site.
     MapReduce,
+    /// The facade's `cilk_for` adding into a `ReducerSum`: the other
+    /// workload that reaches `loop-chunk`, with views on the loop's steals.
+    ReducerLoop,
 }
 
 const WORKLOADS: [Workload; 4] =
@@ -92,6 +95,7 @@ impl Workload {
             Workload::Matmul => "matmul",
             Workload::TreeReducer => "tree-reducer",
             Workload::MapReduce => "map-reduce",
+            Workload::ReducerLoop => "reducer-loop",
         }
     }
 
@@ -113,7 +117,7 @@ impl Workload {
                 cilk_workloads::walk_serial(&tree, 3, 1, &mut out);
                 digest_u64(&out)
             }
-            Workload::MapReduce => (0..512u64).map(|i| i * i).sum(),
+            Workload::MapReduce | Workload::ReducerLoop => (0..512u64).map(|i| i * i).sum(),
         }
     }
 
@@ -142,6 +146,11 @@ impl Workload {
                 |i| (i as u64) * (i as u64),
                 |a, b| a + b,
             ),
+            Workload::ReducerLoop => {
+                let sum = cilk::hyper::ReducerSum::<u64>::sum();
+                cilk::cilk_for(0..512, |i| sum.add((i as u64) * (i as u64)));
+                sum.into_value()
+            }
         }
     }
 }
@@ -503,10 +512,14 @@ fn recovery_cell(site: FaultSite, workload: Workload, budget: u32, workers: usiz
         );
     }
     assert_eq!(cilk::hyper::live_views(), 0, "{ctx}");
+    // Only `steal` may legitimately never fire: a one-worker pool has no
+    // victims to steal from. Every other site is on the workload's path.
+    if site != FaultSite::Steal {
+        assert!(armed.occurrences(site) > 0, "{ctx}: the site was never reached");
+    }
     // Death is deferred to the doomed worker's next top-of-loop, so it can
     // land after the install returns; wait for recovery to settle before
-    // judging the counters. (The site may legitimately never fire — e.g.
-    // `steal` on a one-worker pool has no victims to steal from.)
+    // judging the counters.
     let deaths = armed.fired_count() as u64;
     quiesce_supervised(&pool, deaths, budget, &ctx);
     check_supervision_counters(&pool, workers, budget, &ctx);
@@ -515,7 +528,8 @@ fn recovery_cell(site: FaultSite, workload: Workload, budget: u32, workers: usiz
 
 /// The recovery matrix: `Die` at every fault-site class × respawn budget
 /// {on, zero} × 1/2/4 workers × real workloads. The `loop-chunk` site only
-/// fires inside `cilk_for`, so it is paired with the map-reduce workload.
+/// fires inside a loop, so it is paired with the runtime's map-reduce and
+/// with the facade's `cilk_for` into a reducer.
 #[test]
 fn supervised_recovery_matrix() {
     let _serial = serial();
@@ -527,6 +541,7 @@ fn supervised_recovery_matrix() {
         (FaultSite::Steal, Workload::TreeReducer),
         (FaultSite::Spawn, Workload::TreeReducer),
         (FaultSite::LoopChunk, Workload::MapReduce),
+        (FaultSite::LoopChunk, Workload::ReducerLoop),
     ];
     for &(site, workload) in cells {
         for budget in [4u32, 0] {

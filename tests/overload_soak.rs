@@ -26,7 +26,7 @@ use cilk::runtime::{
 };
 use cilk::Config;
 use cilk_faults::FaultPlan;
-use cilk_workloads::traffic::{run_traffic, StreamSpec};
+use cilk_workloads::traffic::{percentile, run_traffic, StreamSpec};
 
 /// Latency percentiles are wall-clock-sensitive; running soak cases
 /// concurrently with each other would only add scheduler noise.
@@ -39,14 +39,6 @@ fn serial() -> MutexGuard<'static, ()> {
 /// fib): loose enough for a loaded CI box, tight enough to catch a
 /// queue-forever regression.
 const P99_SLO: Duration = Duration::from_millis(500);
-
-fn percentile(sorted: &[Duration], p: f64) -> Duration {
-    if sorted.is_empty() {
-        return Duration::ZERO;
-    }
-    let idx = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
-    sorted[idx]
-}
 
 /// One soak cell: a victim tenant inside its fair share and a flooding
 /// tenant offering several times the pool's quota, closed-loop, with
@@ -138,11 +130,11 @@ fn soak_cell(seed: u64, workers: usize) {
     let mut latencies: Vec<Duration> =
         report.streams.iter().flat_map(|s| s.latencies.iter().copied()).collect();
     latencies.sort_unstable();
-    let p99 = percentile(&latencies, 0.99);
+    let p99 = percentile(&latencies, 99.0);
     assert!(
         p99 <= P99_SLO,
         "{ctx}: p99 {p99:?} blew the {P99_SLO:?} SLO (p50 {:?})",
-        percentile(&latencies, 0.50),
+        percentile(&latencies, 50.0),
     );
     drop(pool);
 }
